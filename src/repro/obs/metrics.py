@@ -114,6 +114,7 @@ REJECT_REASONS = frozenset(
         "not-a-record",
         "unknown-kind",
         "decode",
+        "bad-scan",
     }
 )
 

@@ -23,7 +23,7 @@ graceful rejections and auditor crashes stay inside the container.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set
 
 from repro.core.auditor import Auditor
 from repro.core.channel import EventFanout
@@ -176,8 +176,25 @@ class ReplayReport:
         return self.verdicts == live_verdicts
 
 
+class _Scan(NamedTuple):
+    """A decoded scan marker bound to the auditor that runs it."""
+
+    auditor: Auditor
+    untrusted_pids: List[int]
+    view: str
+    untrusted_count: Optional[int]
+
+
 class ReplaySource:
-    """Drives recorded events through real auditors in virtual time."""
+    """Drives recorded events through real auditors in virtual time.
+
+    Every entry point shares one per-record path: :meth:`_decode` turns
+    a raw record into a deliverable item (or counts a rejection) and
+    :meth:`_feed` hands the item to :meth:`_deliver` — at once, or
+    through the engine queue when a schedule perturbation is set.
+    :meth:`run` is :meth:`stream_begin`, one feed per record, then
+    :meth:`stream_end`.
+    """
 
     def __init__(
         self,
@@ -221,11 +238,14 @@ class ReplaySource:
         for auditor in self.auditors:
             self.container.add_auditor(auditor)
             self.fanout.subscribe(auditor, self.container)
-        # Incremental-feed state (the repro.serve entry point); armed by
-        # stream_begin, cleared by stream_end.
+        # Per-run state: armed by stream_begin, cleared by stream_end.
         self._stream_report: Optional[ReplayReport] = None
-        self._stream_horizon: Optional[int] = None
+        self._horizon_ns: Optional[int] = None
         self._stream_wall = 0.0
+        # Perturbed runs: records fed (bounds the drain) and the latest
+        # scheduled delivery (the drain must reach it).
+        self._fed = 0
+        self._last_due = 0
 
     # ------------------------------------------------------------------
     def _advance_to(self, t_ns: int) -> None:
@@ -240,75 +260,30 @@ class ReplaySource:
             # Nothing due before the target: just move the clock.
             engine.clock.advance_to(t_ns)
 
-    def _horizon(self) -> Optional[int]:
-        end_ns = self.trace.header.end_ns
-        if end_ns is None:
-            return None
-        return end_ns + HORIZON_SLACK_NS
-
-    def _scan_auditor(self, name: str) -> Optional[Auditor]:
-        for auditor in self.auditors:
-            if auditor.name == name and hasattr(auditor, "scan_against"):
-                return auditor
-        return None
-
     def _reject(self, reason: str) -> None:
         """Account one graceful rejection (malformed/unreplayable)."""
+        self._stream_report.events_rejected += 1
         self.metrics.inc(
             "flow.rejected", vm=self.trace.header.vm_id, reason=reason
         )
 
-    # ------------------------------------------------------------------
-    def run(self) -> ReplayReport:
-        report = ReplayReport(scenario=self.trace.header.scenario)
-        start_wall = perf_counter()
-        # Traces need not start at t=0: move to the recorded origin
-        # before anything arms its timers or liveness baselines.
-        self._advance_to(self.trace.header.start_ns)
-        if self.rhc is not None:
-            self.rhc.start()
-        for auditor in self.auditors:
-            auditor.bind(self.hypertap)
+    def _decode(self, record: Any) -> Optional[tuple]:
+        """The one record decoder.
 
-        if self.perturb is not None:
-            self._run_perturbed(report)
-            report.wall_seconds = perf_counter() - start_wall
-            self._finalize(report)
-            return report
-
-        horizon = self._horizon()
-        # Hot loop: hoist every per-record attribute lookup into locals,
-        # inline the decode wrapper (kind was already checked here) and
-        # the no-timer-due clock advance.
-        engine = self.engine
-        clock = engine.clock
-        queue = engine._queue
-        run_until = engine.run_until
-        advance_clock = clock.advance_to
-        deriver_observe = self.hypertap.deriver.observe
-        hypertap_observe = self.hypertap.observe
-        sampler_observe = self._sampler.observe
-        publish = self.fanout.publish
-        from_record = GuestEvent.from_record
-        reject = self._reject
-        replayed = 0
-        rejected = 0
-        for record in self.trace.records:
-            if type(record) is not dict:
-                rejected += 1
-                reject("not-a-record")
-                continue
-            kind = record.get("kind", KIND_EVENT)
-            if kind != KIND_EVENT:
-                if kind == KIND_SCAN:
-                    self._replay_scan(record, report)
-                else:
-                    rejected += 1
-                    reject("unknown-kind")
-                continue
+        A guest event becomes ``(t_ns, event, task, parent)`` and a scan
+        marker ``(t_ns, scan)`` bound to its auditor.  A record that
+        cannot be replayed is rejected with a pinned reason and yields
+        ``None``.
+        """
+        if type(record) is not dict:
+            self._reject("not-a-record")
+            return None
+        kind = record.get("kind", KIND_EVENT)
+        if kind == KIND_EVENT:
             try:
-                event = from_record(record)
+                event = GuestEvent.from_record(record)
                 t_ns = event.time_ns
+                horizon = self._horizon_ns
                 if horizon is not None and t_ns > horizon:
                     raise TraceFormatError(
                         f"timestamp {t_ns} beyond trace horizon"
@@ -320,69 +295,115 @@ class ReplaySource:
                 if parent is not None:
                     parent = task_from_record(parent)
             except TraceFormatError:
-                rejected += 1
-                reject("decode")
-                continue
-            if t_ns > clock.now:
-                if queue and queue[0].when <= t_ns:
-                    run_until(t_ns, max_events=_MAX_TIMER_EVENTS_PER_RECORD)
-                else:
-                    advance_clock(t_ns)
-            deriver_observe(event, task, parent)
-            hypertap_observe(event)
-            sampler_observe(t_ns)
-            publish(event)
-            replayed += 1
-        report.events_replayed = replayed
-        report.events_rejected += rejected
+                self._reject("decode")
+                return None
+            return t_ns, event, task, parent
+        if kind != KIND_SCAN:
+            self._reject("unknown-kind")
+            return None
+        try:
+            scan = decode_scan(record)
+        except TraceFormatError:
+            self._reject("bad-scan")
+            return None
+        for auditor in self.auditors:
+            if auditor.name == scan["auditor"] and hasattr(auditor, "scan_against"):
+                return scan["t"], _Scan(
+                    auditor, scan["untrusted_pids"], scan["view"],
+                    scan["untrusted_count"],
+                )
+        self._reject("bad-scan")
+        return None
 
-        # Play out the recorded tail so end-of-trace silence is seen by
-        # the periodic checkers exactly as the live run saw it.
-        end_ns = self.trace.header.end_ns
-        if end_ns is not None:
-            self._advance_to(end_ns)
+    def _feed(self, record: Any) -> bool:
+        """Decode one record and deliver it.
 
-        report.wall_seconds = perf_counter() - start_wall
-        self._finalize(report)
-        return report
-
-    def _finalize(self, report: ReplayReport) -> None:
-        report.sim_span_ns = max(
-            0, self.engine.clock.now - self.trace.header.start_ns
+        Unperturbed, the clock advances to the record and it is
+        delivered now.  Perturbed, the delivery is scheduled through the
+        engine queue, where the policy decides its ordering, latency and
+        loss; :meth:`stream_end` drains the queue.
+        """
+        self._fed += 1
+        item = self._decode(record)
+        if item is None:
+            return False
+        t_ns = item[0]
+        if self.perturb is None:
+            self._advance_to(t_ns)
+            self._deliver(*item)
+            return True
+        engine = self.engine
+        handle = engine.schedule_at(
+            max(t_ns, engine.clock.now), self._deliver, *item,
+            label="replay-scan" if type(item[1]) is _Scan else "replay-deliver",
         )
-        report.alerts = {a.name: list(a.alerts) for a in self.auditors}
-        report.verdicts = normalize_alerts(report.alerts)
-        report.container_failed = self.container.failed
-        report.failure_reason = self.container.failure_reason
-        report.rhc_alarmed = self.rhc.alarmed if self.rhc is not None else False
+        if not handle.cancelled:
+            # The policy may have delayed the delivery past the
+            # recorded horizon; the drain must still reach it.
+            self._last_due = max(self._last_due, handle.when)
+            if self.delivery_log is not None:
+                self.delivery_log.append(
+                    (handle.when, handle.prio, handle.seq, record)
+                )
+        return True
+
+    def _deliver(self, t_ns: int, payload, task=None, parent=None) -> None:
+        """Hand one decoded item to the pipeline at the current instant.
+
+        A scan runs inside the container boundary: an auditor crash is
+        counted, never propagated.  The heartbeat sampler sees the
+        recorded time, or the engine's when the delivery was scheduled.
+        """
+        report = self._stream_report
+        if type(payload) is _Scan:
+            try:
+                payload.auditor.scan_against(
+                    payload.untrusted_pids,
+                    payload.view,
+                    untrusted_process_count=payload.untrusted_count,
+                )
+                report.scans_run += 1
+            except Exception:  # noqa: BLE001 - the replay container boundary
+                report.scan_errors += 1
+            return
+        self.hypertap.deriver.observe(payload, task, parent)
+        self.hypertap.observe(payload)
+        self._sampler.observe(
+            t_ns if self.perturb is None else self.engine.clock.now
+        )
+        self.fanout.publish(payload)
+        report.events_replayed += 1
 
     # ------------------------------------------------------------------
-    # Incremental streaming: the repro.serve entry point.  One record
-    # at a time, same per-record semantics as the batch loop in run(),
-    # so a record sequence produces identical verdicts and
-    # pipeline-scope metrics whichever entry point drove it.  The batch
-    # loop keeps its hoisted-locals form because it is the
-    # ledger-gated hot path; this path trades that for incrementality.
-    # ------------------------------------------------------------------
+    def run(self) -> ReplayReport:
+        """Replay the whole trace: begin, feed every record, end."""
+        self.stream_begin()
+        for record in self.trace.records:
+            self._feed(record)
+        return self.stream_end()
+
     def stream_begin(self) -> ReplayReport:
         """Arm the pipeline for incremental feeding.
 
         Call once, then :meth:`stream_feed` per record, then
-        :meth:`stream_end`.  Mutually exclusive with :meth:`run` and
-        with schedule perturbation (a perturbed schedule needs the whole
-        record set up front).
+        :meth:`stream_end` (the repro.serve entry point).  Mutually
+        exclusive with :meth:`run`, which makes the same three calls.
         """
-        if self.perturb is not None:
-            raise TraceFormatError(
-                "streaming replay does not support schedule perturbation"
-            )
         if self._stream_report is not None:
             raise TraceFormatError("stream_begin called twice")
-        report = ReplayReport(scenario=self.trace.header.scenario)
+        header = self.trace.header
+        report = ReplayReport(scenario=header.scenario)
         self._stream_report = report
         self._stream_wall = perf_counter()
-        self._stream_horizon = self._horizon()
-        self._advance_to(self.trace.header.start_ns)
+        # Events timestamped beyond the horizon are rejected.
+        self._horizon_ns = (
+            None if header.end_ns is None else header.end_ns + HORIZON_SLACK_NS
+        )
+        # Traces need not start at t=0: move to the recorded origin
+        # before anything arms its timers or liveness baselines.
+        self._advance_to(header.start_ns)
+        self._fed = 0
+        self._last_due = self.engine.clock.now
         if self.rhc is not None:
             self.rhc.start()
         for auditor in self.auditors:
@@ -391,46 +412,9 @@ class ReplaySource:
 
     def stream_feed(self, record: Any) -> bool:
         """Replay one record; ``False`` means a graceful rejection."""
-        report = self._stream_report
-        if report is None:
+        if self._stream_report is None:
             raise TraceFormatError("stream_feed before stream_begin")
-        if type(record) is not dict:
-            report.events_rejected += 1
-            self._reject("not-a-record")
-            return False
-        kind = record.get("kind", KIND_EVENT)
-        if kind != KIND_EVENT:
-            if kind == KIND_SCAN:
-                self._replay_scan(record, report)
-                return True
-            report.events_rejected += 1
-            self._reject("unknown-kind")
-            return False
-        try:
-            event = GuestEvent.from_record(record)
-            t_ns = event.time_ns
-            horizon = self._stream_horizon
-            if horizon is not None and t_ns > horizon:
-                raise TraceFormatError(
-                    f"timestamp {t_ns} beyond trace horizon"
-                )
-            task = record.get("task")
-            if task is not None:
-                task = task_from_record(task)
-            parent = record.get("parent")
-            if parent is not None:
-                parent = task_from_record(parent)
-        except TraceFormatError:
-            report.events_rejected += 1
-            self._reject("decode")
-            return False
-        self._advance_to(t_ns)
-        self.hypertap.deriver.observe(event, task, parent)
-        self.hypertap.observe(event)
-        self._sampler.observe(t_ns)
-        self.fanout.publish(event)
-        report.events_replayed += 1
-        return True
+        return self._feed(record)
 
     def stream_end(self, end_ns: Optional[int] = None) -> ReplayReport:
         """Close the stream: play out tail silence, finalize verdicts."""
@@ -438,131 +422,34 @@ class ReplaySource:
         if report is None:
             raise TraceFormatError("stream_end before stream_begin")
         target = end_ns if end_ns is not None else self.trace.header.end_ns
-        if target is not None:
-            horizon = self._stream_horizon
-            if horizon is not None:
-                target = min(target, horizon)
-            self._advance_to(target)
+        horizon = self._horizon_ns
+        if target is not None and horizon is not None:
+            target = min(target, horizon)
+        if self.perturb is None:
+            # Play out the recorded tail so end-of-trace silence is seen
+            # by the periodic checkers exactly as the live run saw it.
+            if target is not None:
+                self._advance_to(target)
+        else:
+            # Bounded drain: enough for every delivery plus the periodic
+            # checks over any sane span, but finite even if a hostile
+            # header smuggles in an astronomical horizon.
+            deadline = (
+                self._last_due if target is None
+                else max(target, self._last_due)
+            )
+            self.engine.run_until(
+                deadline, max_events=self._fed + _MAX_TIMER_EVENTS_PER_RECORD
+            )
+            report.events_dropped = self.engine.events_dropped
         report.wall_seconds = perf_counter() - self._stream_wall
-        self._finalize(report)
+        report.sim_span_ns = max(
+            0, self.engine.clock.now - self.trace.header.start_ns
+        )
+        report.alerts = {a.name: list(a.alerts) for a in self.auditors}
+        report.verdicts = normalize_alerts(report.alerts)
+        report.container_failed = self.container.failed
+        report.failure_reason = self.container.failure_reason
+        report.rhc_alarmed = self.rhc.alarmed if self.rhc is not None else False
         self._stream_report = None
         return report
-
-    # ------------------------------------------------------------------
-    # Perturbed delivery: every record is routed through the engine
-    # queue so the schedule policy decides ordering/latency/loss.
-    # ------------------------------------------------------------------
-    def _deliver(self, event, task, parent, report: ReplayReport) -> None:
-        self.hypertap.deriver.observe(event, task, parent)
-        self.hypertap.observe(event)
-        self._sampler.observe(self.engine.clock.now)
-        self.fanout.publish(event)
-        report.events_replayed += 1
-
-    def _deliver_scan(self, scan: Dict[str, Any], report: ReplayReport) -> None:
-        auditor = self._scan_auditor(scan["auditor"])
-        if auditor is None:
-            report.events_rejected += 1
-            return
-        try:
-            auditor.scan_against(
-                scan["untrusted_pids"],
-                scan["view"],
-                untrusted_process_count=scan["untrusted_count"],
-            )
-            report.scans_run += 1
-        except Exception:  # noqa: BLE001 - the replay container boundary
-            report.scan_errors += 1
-
-    def _run_perturbed(self, report: ReplayReport) -> None:
-        """Schedule every record's delivery through the (perturbed)
-        engine, then run the queue out to the recorded horizon."""
-        engine = self.engine
-        now = engine.clock.now
-        horizon = self._horizon()
-        max_t = now
-        for record in self.trace.records:
-            if type(record) is not dict:
-                report.events_rejected += 1
-                continue
-            kind = record.get("kind", KIND_EVENT)
-            if kind == KIND_SCAN:
-                try:
-                    scan = decode_scan(record)
-                except TraceFormatError:
-                    report.events_rejected += 1
-                    continue
-                handle = engine.schedule_at(
-                    max(scan["t"], now), self._deliver_scan, scan, report,
-                    label="replay-scan",
-                )
-                if not handle.cancelled:
-                    max_t = max(max_t, handle.when)
-                    if self.delivery_log is not None:
-                        self.delivery_log.append(
-                            (handle.when, handle.prio, handle.seq, record)
-                        )
-                continue
-            if kind != KIND_EVENT:
-                report.events_rejected += 1
-                continue
-            try:
-                event = GuestEvent.from_record(record)
-                t_ns = event.time_ns
-                if horizon is not None and t_ns > horizon:
-                    raise TraceFormatError(
-                        f"timestamp {t_ns} beyond trace horizon"
-                    )
-                task = record.get("task")
-                if task is not None:
-                    task = task_from_record(task)
-                parent = record.get("parent")
-                if parent is not None:
-                    parent = task_from_record(parent)
-            except TraceFormatError:
-                report.events_rejected += 1
-                continue
-            handle = engine.schedule_at(
-                max(t_ns, now), self._deliver, event, task, parent, report,
-                label="replay-deliver",
-            )
-            if not handle.cancelled:
-                # The policy may have delayed the delivery past the
-                # recorded horizon; the deadline must still reach it.
-                max_t = max(max_t, handle.when)
-                if self.delivery_log is not None:
-                    self.delivery_log.append(
-                        (handle.when, handle.prio, handle.seq, record)
-                    )
-        end_ns = self.trace.header.end_ns
-        deadline = max_t if end_ns is None else max(end_ns, max_t)
-        # Bounded drain: enough for every delivery plus the periodic
-        # checks over any sane span, but finite even if a hostile
-        # header smuggles in an astronomical horizon.
-        engine.run_until(
-            deadline,
-            max_events=len(self.trace.records) + _MAX_TIMER_EVENTS_PER_RECORD,
-        )
-        report.events_dropped = engine.events_dropped
-
-    # ------------------------------------------------------------------
-    def _replay_scan(self, record: Dict[str, Any], report: ReplayReport) -> None:
-        try:
-            scan = decode_scan(record)
-        except TraceFormatError:
-            report.events_rejected += 1
-            return
-        auditor = self._scan_auditor(scan["auditor"])
-        if auditor is None:
-            report.events_rejected += 1
-            return
-        self._advance_to(scan["t"])
-        try:
-            auditor.scan_against(
-                scan["untrusted_pids"],
-                scan["view"],
-                untrusted_process_count=scan["untrusted_count"],
-            )
-            report.scans_run += 1
-        except Exception:  # noqa: BLE001 - the replay container boundary
-            report.scan_errors += 1

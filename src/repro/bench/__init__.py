@@ -490,7 +490,7 @@ def measure_figures(
 
 
 def measure_hut(scale: float = 1.0, rounds: int = 3) -> Dict[str, Any]:
-    """hut-fuzz candidate throughput (executions/sec, wall-measured).
+    """Hut fuzz candidate throughput (executions/sec, wall-measured).
 
     Runs one small fixed-seed clean campaign per target through the
     full differential pair (real stack + reference model + oracle);
@@ -505,7 +505,8 @@ def measure_hut(scale: float = 1.0, rounds: int = 3) -> Dict[str, Any]:
     execution set and only machine-load jitter varies — a single
     sub-second sweep otherwise swings past the ``--check`` threshold.
     """
-    from repro.testing.hut import HutFuzzConfig, TARGETS, fuzz_hut
+    from repro.testing import FuzzConfig, fuzz
+    from repro.testing.hut import TARGETS
 
     budget = max(4, int(round(8 * scale)))
     wall = float("inf")
@@ -518,8 +519,8 @@ def measure_hut(scale: float = 1.0, rounds: int = 3) -> Dict[str, Any]:
         findings = 0
         t0 = perf_counter()
         for target in TARGETS:
-            result = fuzz_hut(
-                HutFuzzConfig(target=target, seed=2026, budget=budget)
+            result = fuzz(
+                FuzzConfig(target=target, seed=2026, budget=budget)
             )
             executions += result.executions
             findings += len(result.findings)

@@ -99,7 +99,7 @@ def collect_replay(trace: Any, span_sink: Any = None) -> Dict[str, Any]:
     exporter uses.
     """
     from repro.replay.source import ReplaySource
-    from repro.testing.seeds import auditors_for
+    from repro.replay.recorder import auditors_for
 
     registry = MetricsRegistry()
     if span_sink is not None:
@@ -165,7 +165,7 @@ def collect_trace(path: str, span_sink: Any = None) -> Dict[str, Any]:
     past the ring bound (see :func:`collect_replay`).
     """
     from repro.replay.source import ReplaySource
-    from repro.testing.seeds import auditors_for
+    from repro.replay.recorder import auditors_for
 
     if path == "-":
         data = _stdin_bytes()
@@ -184,7 +184,7 @@ def collect_trace_text(text: str, span_sink: Any = None) -> Dict[str, Any]:
     """Replay a trace already held as JSONL text; snapshot."""
     from repro.replay.source import ReplaySource
     from repro.replay.trace_io import loads_trace
-    from repro.testing.seeds import auditors_for
+    from repro.replay.recorder import auditors_for
 
     registry = MetricsRegistry()
     if span_sink is not None:
@@ -198,7 +198,7 @@ def collect_trace_bytes(data: bytes, span_sink: Any = None) -> Dict[str, Any]:
     """Replay an in-memory btrace image (the ``-`` stdin path)."""
     from repro.replay.btrace import load_btrace
     from repro.replay.source import ReplaySource
-    from repro.testing.seeds import auditors_for
+    from repro.replay.recorder import auditors_for
 
     registry = MetricsRegistry()
     if span_sink is not None:

@@ -20,10 +20,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.auditors.goshd import GuestOSHangDetector
-from repro.auditors.hrkd import HiddenRootkitDetector
-from repro.auditors.ht_ninja import HTNinja
-from repro.core.auditor import Auditor
 from repro.errors import TraceFormatError
 from repro.prof import Profiler, profile_scope
 from repro.replay.btrace import (
@@ -32,37 +28,11 @@ from repro.replay.btrace import (
     load_any_trace,
     save_btrace,
 )
-from repro.replay.format import Trace
 from repro.replay.mutate import TraceMutator
-from repro.replay.recorder import SCENARIOS, record_scenario
+from repro.replay.recorder import SCENARIOS, auditors_for, record_scenario
 from repro.replay.trace_io import save_trace
 from repro.replay.source import ReplaySource
 from repro.sim.clock import SECOND
-
-#: Auditor name -> class, for traces whose scenario is unknown here.
-_AUDITOR_CLASSES = {
-    "goshd": GuestOSHangDetector,
-    "hrkd": HiddenRootkitDetector,
-    "ht-ninja": HTNinja,
-}
-
-
-def _build_auditors_for(trace: Trace) -> List[Auditor]:
-    """Fresh auditors matching what the trace was recorded under."""
-    scenario = SCENARIOS.get(trace.header.scenario)
-    if scenario is not None:
-        return scenario.build_auditors()
-    names = trace.header.meta.get("auditors") or []
-    auditors = [
-        _AUDITOR_CLASSES[name]() for name in names if name in _AUDITOR_CLASSES
-    ]
-    if not auditors:
-        raise TraceFormatError(
-            f"cannot infer auditors for scenario "
-            f"{trace.header.scenario!r} (header lists {names!r})"
-        )
-    return auditors
-
 
 def _format_verdicts(verdicts: List[dict]) -> str:
     if not verdicts:
@@ -113,7 +83,7 @@ def cmd_replay(args) -> int:
         with profile_scope("replay"):
             with profile_scope("load-trace"):
                 trace = load_any_trace(args.trace)
-            auditors = _build_auditors_for(trace)
+            auditors = auditors_for(trace)
             with profile_scope("run"):
                 source = ReplaySource(trace, auditors)
                 report = source.run()
@@ -171,7 +141,7 @@ def cmd_fuzz(args) -> int:
     alarmed = 0
     for i in range(args.n):
         mutated, ops = mutator.mutate(base, n_mutations=args.mutations)
-        auditors = _build_auditors_for(base)
+        auditors = auditors_for(base)
         report = ReplaySource(mutated, auditors).run()
         rejected_total += report.events_rejected
         if report.container_failed or report.scan_errors:

@@ -97,17 +97,23 @@ class TraceHeader:
         counts = record.get("event_counts") or {}
         if not isinstance(counts, dict):
             raise TraceFormatError(f"bad event_counts {counts!r}")
-        return TraceHeader(
-            version=version,
-            vm_id=str(record.get("vm_id", "vm0")),
-            seed=int(record.get("seed", 0)),
-            num_vcpus=num_vcpus,
-            scenario=str(record.get("scenario", "")),
-            start_ns=int(record.get("start_ns", 0)),
-            end_ns=end_ns,
-            event_counts={str(k): int(v) for k, v in counts.items()},
-            meta=record.get("meta") or {},
-        )
+        meta = record.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise TraceFormatError(f"bad meta {meta!r}")
+        try:
+            return TraceHeader(
+                version=version,
+                vm_id=str(record.get("vm_id", "vm0")),
+                seed=int(record.get("seed", 0)),
+                num_vcpus=num_vcpus,
+                scenario=str(record.get("scenario", "")),
+                start_ns=int(record.get("start_ns", 0)),
+                end_ns=end_ns,
+                event_counts={str(k): int(v) for k, v in counts.items()},
+                meta=meta,
+            )
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(f"bad trace header field: {exc}")
 
     @property
     def total_events(self) -> int:

@@ -21,6 +21,7 @@ from repro.auditors.hrkd import HiddenRootkitDetector
 from repro.auditors.ht_ninja import HTNinja
 from repro.core.auditor import Auditor
 from repro.core.events import EventType, GuestEvent, SyscallEvent, ThreadSwitchEvent
+from repro.errors import TraceFormatError
 from repro.prof import perf_counter
 from repro.replay.format import (
     FORMAT_VERSION,
@@ -245,6 +246,31 @@ SCENARIOS: Dict[str, Scenario] = {
         _run_exploit,
     ),
 }
+
+#: Auditor name -> class, for traces whose scenario is unknown here.
+_AUDITOR_CLASSES = {
+    "goshd": GuestOSHangDetector,
+    "hrkd": HiddenRootkitDetector,
+    "ht-ninja": HTNinja,
+}
+
+
+def auditors_for(trace: Trace) -> List[Auditor]:
+    """Fresh auditors matching what the trace was recorded under: the
+    scenario's own set, else the names the header lists."""
+    scenario = SCENARIOS.get(trace.header.scenario)
+    if scenario is not None:
+        return scenario.build_auditors()
+    names = trace.header.meta.get("auditors") or []
+    auditors = [
+        _AUDITOR_CLASSES[name]() for name in names if name in _AUDITOR_CLASSES
+    ]
+    if not auditors:
+        raise TraceFormatError(
+            f"cannot infer auditors for scenario "
+            f"{trace.header.scenario!r} (header lists {names!r})"
+        )
+    return auditors
 
 
 @dataclass

@@ -25,6 +25,7 @@ from repro.errors import TraceFormatError
 from repro.obs.metrics import Histogram, MetricsRegistry, merge_snapshots
 from repro.obs.report import export_lines
 from repro.replay.format import KIND_EVENT, Trace, TraceHeader
+from repro.replay.recorder import auditors_for
 from repro.replay.source import ReplaySource
 from repro.serve.admission import (
     DEFAULT_MAX_WAIT_NS,
@@ -35,7 +36,6 @@ from repro.serve.admission import (
     AdmissionModel,
 )
 from repro.sim.clock import SECOND
-from repro.testing.seeds import auditors_for
 
 #: The ``stage`` label on serve-side drop accounting.
 SERVE_STAGE = "serve-admission"

@@ -1,23 +1,17 @@
-"""CLI: ``python -m repro.testing
-{fuzz,shrink,hut-fuzz,hut-shrink,corpus,report}``.
+"""CLI: ``python -m repro.testing {fuzz,shrink,corpus,report}``.
 
-* ``fuzz``   — run a seeded coverage-guided campaign, write findings as
-  JSONL (byte-reproducible for a given ``--seed``/``--budget``); with
-  ``--corpus-dir``, exit non-zero only on findings whose key is not
-  already covered by a checked-in (shrunk) corpus entry — the nightly
+* ``fuzz``   — run a seeded coverage-guided campaign against a target:
+  a recorded scenario (the auditors under test) or a hut target (the
+  hypervisor/hardware emulation under test).  Findings go out as JSONL,
+  byte-reproducible for a given ``--seed``/``--budget`` at any
+  ``--jobs``; with ``--corpus-dir``, exit non-zero only on findings
+  whose key no checked-in (shrunk) corpus entry covers — the nightly
   contract;
-* ``shrink`` — reduce a failing trace (or the built-in seeded
-  known-miss) to a minimal reproducer and optionally save it as a
-  corpus entry;
-* ``hut-fuzz``   — the fuzzer turned around: differential fuzzing of
-  the hypervisor/hardware emulation itself (``repro.testing.hut``);
-  same reproducibility and ``--corpus-dir`` nightly contract, plus
-  ``--jobs`` shard fan-out and ``--obs-out`` metrics export;
-* ``hut-shrink`` — ddmin a hut witness program to a 1-minimal repro,
-  optionally saving it as a ``tests/corpus/hut-*.jsonl`` entry;
-* ``corpus`` — list or re-verify the checked-in regression entries
-  (both trace entries and hut program entries);
-* ``report`` — summarize a findings JSONL by key/kind/auditor.
+* ``shrink`` — ddmin a witness (trace or hut program, told apart by its
+  header) or the built-in seeded known-miss to a minimal reproducer,
+  optionally saving it as a corpus entry;
+* ``corpus`` — list or re-verify the checked-in regression entries;
+* ``report`` — summarize a findings JSONL by key.
 """
 
 from __future__ import annotations
@@ -28,63 +22,71 @@ import sys
 from typing import List, Optional
 
 from repro.errors import TraceFormatError
-from repro.replay.recorder import SCENARIOS
-from repro.replay.btrace import load_any_trace
-from repro.replay.trace_io import save_trace
+from repro.obs.report import export_lines
 from repro.testing.corpus import (
     DEFAULT_CORPUS_DIR,
+    UNREADABLE,
     corpus_entries,
     corpus_keys,
-    save_finding,
+    entry_finding,
+    kind_of,
+    load_entry,
+    save_entry,
     verify_entry,
 )
-from repro.testing.fuzzer import FuzzConfig, Fuzzer
-from repro.testing.oracle import Discrepancy
-from repro.testing.seeds import AUDITOR_SCENARIOS, known_miss_trace
+from repro.testing.fuzzer import FuzzConfig, TraceTarget, fuzz, target_names
+from repro.testing.hut.bugs import SEEDED_BUGS
+from repro.testing.seeds import known_miss_trace
 from repro.testing.shrink import (
-    make_finding_predicate,
+    FindingPredicate,
     materialize_schedule,
-    shrink_trace,
+    shrink_entry,
 )
 
 
-def _findings_lines(findings: List[dict]) -> List[str]:
-    return [json.dumps(f, sort_keys=True) for f in findings]
+def _write_lines(path: str, lines: List[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 # ======================================================================
 # Subcommands
 # ======================================================================
 def cmd_fuzz(args) -> int:
-    scenario = args.scenario
-    if args.auditor:
-        scenario = AUDITOR_SCENARIOS[args.auditor]
     config = FuzzConfig(
-        scenario=scenario,
+        target=args.target,
         seed=args.seed,
         budget=args.budget,
+        length=args.length,
         mutations=args.mutations,
-        perturb=not args.no_perturb,
-        artifacts_dir=args.artifacts,
+        bug=args.inject_bug,
     )
-    result = Fuzzer(config).run()
+    result = fuzz(config, jobs=args.jobs)
 
-    lines = _findings_lines(result.findings)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    print(f"fuzzed scenario {scenario!r}: {result.iterations} replays "
-          f"(seed {config.seed})")
+        _write_lines(
+            args.out, [json.dumps(f, sort_keys=True) for f in result.findings]
+        )
+    bug_note = f" (bug {config.bug})" if config.bug else ""
+    print(f"fuzzed target {config.target!r}{bug_note}: "
+          f"{result.executions} executions (seed {config.seed})")
     print(f"  coverage features:  {len(result.coverage)} "
-          f"({result.coverage_events} iterations added new ones)")
-    print(f"  seed pool:          {result.pool_size} traces")
+          f"({result.coverage_events} executions added new ones)")
+    print(f"  seed pool:          {result.pool_size} entries")
+    print(f"  crashes:            {result.crashes}")
     print(f"  findings:           {len(result.findings)} "
           f"({len(result.unique_keys)} unique keys)")
     for key in result.unique_keys:
         print(f"    {key}")
     if args.out:
         print(f"  findings written to {args.out}")
+    if args.artifacts:
+        for witness in result.witnesses.values():
+            print(f"  witness saved: {save_entry(args.artifacts, *witness)}")
+    if args.obs_out:
+        _write_lines(args.obs_out, export_lines(result.metrics, scope="all"))
+        print(f"  obs export written to {args.obs_out}")
 
     if args.corpus_dir is not None:
         known = set(corpus_keys(args.corpus_dir))
@@ -94,225 +96,80 @@ def cmd_fuzz(args) -> int:
                   file=sys.stderr)
             for key in new:
                 print(f"  {key}", file=sys.stderr)
-            print("shrink each with `python -m repro.testing shrink` and "
-                  "check the result into the corpus.", file=sys.stderr)
+            print("shrink each witness with `python -m repro.testing "
+                  "shrink` and check the result into the corpus.",
+                  file=sys.stderr)
             return 1
         print(f"  all finding keys already covered by {args.corpus_dir}")
-        return 0
     return 0
 
 
 def cmd_shrink(args) -> int:
     if args.known_miss:
-        trace, key = known_miss_trace(seed=args.seed)
-        perturb_params = None
+        subject, disc = known_miss_trace(seed=args.seed)
+        finding = disc.as_dict()
+    elif args.file:
+        subject = load_entry(args.file)
+        finding = entry_finding(subject)
     else:
-        if not args.trace:
-            print("error: provide a trace file or --known-miss",
-                  file=sys.stderr)
-            return 2
-        trace = load_any_trace(args.trace)
-        finding = trace.header.meta.get("finding") or {}
-        key = args.key or finding.get("key")
-        perturb_params = finding.get("perturb")
-        if key is None:
-            print("error: no --key given and none recorded in the trace "
-                  "header", file=sys.stderr)
-            return 2
+        print("error: provide a witness file or --known-miss",
+              file=sys.stderr)
+        return 2
+    kind = kind_of(subject)
+    params = kind.params(subject)
+    key = args.key or finding.get("key")
+    if key is None:
+        print("error: no --key given and none recorded in the header",
+              file=sys.stderr)
+        return 2
+    if key != finding.get("key"):
+        finding = {"key": key}
 
     # A perturbation finding shrinks poorly (removing records shifts
     # the seeded schedule): bake the adversarial delivery order into
     # the trace first, when the finding survives materialization.
-    if perturb_params:
-        materialized = materialize_schedule(trace, perturb_params)
-        if make_finding_predicate(key)(materialized):
+    if kind is TraceTarget and params:
+        materialized = materialize_schedule(subject, params)
+        if FindingPredicate(kind, materialized, key, None)(
+            materialized.records
+        ):
             print("materialized the perturbed schedule into the trace")
-            trace, perturb_params = materialized, None
+            subject, params = materialized, None
 
-    original = len(trace.records)
-    predicate = make_finding_predicate(key, perturb_params=perturb_params)
-    reduced = shrink_trace(trace, predicate, max_tests=args.max_tests)
-    ratio = len(reduced.records) / max(1, original)
-    print(f"shrunk {original} -> {len(reduced.records)} records "
-          f"({ratio:.1%}) for {key}")
+    original = len(kind.items(subject))
+    reduced = shrink_entry(
+        kind, subject, key, params, max_tests=args.max_tests, jobs=args.jobs
+    )
+    shrunk = len(kind.items(reduced))
+    print(f"shrunk {original} -> {shrunk} {kind.UNIT} "
+          f"({shrunk / max(1, original):.1%}) for {key}")
 
     if args.corpus_dir is not None:
-        kind, auditor, subject_txt = key.split(":", 2)
-        subject = {}
-        for part in subject_txt.split(","):
-            if "=" in part:
-                k, v = part.split("=", 1)
-                subject[k] = int(v) if v.lstrip("-").isdigit() else v
-        path = save_finding(
-            args.corpus_dir,
-            reduced,
-            Discrepancy(kind=kind, auditor=auditor, subject=subject),
-            perturb_params=perturb_params,
-            original_records=original,
-        )
+        path = save_entry(args.corpus_dir, reduced, finding, params, original)
         print(f"saved corpus entry {path}")
     elif args.out:
-        save_trace(args.out, reduced)
-        print(f"saved shrunk trace to {args.out}")
-    return 0
-
-
-def cmd_hut_fuzz(args) -> int:
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.report import export_lines
-    from repro.testing.hut import (
-        HutFuzzConfig,
-        fuzz_hut,
-        hut_corpus_keys,
-        save_hut_finding,
-    )
-
-    config = HutFuzzConfig(
-        target=args.target,
-        seed=args.seed,
-        budget=args.budget,
-        length=args.length,
-        mutations=args.mutations,
-        bug=args.inject_bug,
-    )
-    result = fuzz_hut(config, jobs=args.jobs)
-
-    lines = _findings_lines(result.findings)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    bug_note = f" (bug {config.bug})" if config.bug else ""
-    print(f"hut-fuzzed target {config.target!r}{bug_note}: "
-          f"{result.executions} executions (seed {config.seed})")
-    print(f"  coverage features:  {len(result.coverage)}")
-    print(f"  crashes:            {result.crashes}")
-    print(f"  findings:           {len(result.findings)} unique keys")
-    for key in result.unique_keys:
-        print(f"    {key}")
-    if args.out:
-        print(f"  findings written to {args.out}")
-
-    if args.artifacts:
-        for entry in result.findings:
-            path = save_hut_finding(
-                args.artifacts,
-                result.programs[entry["key"]],
-                entry,
-                bug=config.bug,
-                perturb_seed=entry.get("perturb_seed"),
-            )
-            print(f"  witness saved: {path}")
-
-    if args.obs_out:
-        metrics = MetricsRegistry()
-        metrics.counter(
-            "hut.execs", target=config.target
-        ).value = result.executions
-        metrics.counter(
-            "hut.crashes", target=config.target
-        ).value = result.crashes
-        by_kind: dict = {}
-        for entry in result.findings:
-            by_kind[entry["kind"]] = by_kind.get(entry["kind"], 0) + 1
-        for kind, count in sorted(by_kind.items()):
-            metrics.counter(
-                "hut.findings", target=config.target, kind=kind
-            ).value = count
-        with open(args.obs_out, "w", encoding="utf-8") as fh:
-            for line in export_lines(metrics.snapshot(), scope="pipeline"):
-                fh.write(line + "\n")
-        print(f"  obs export written to {args.obs_out}")
-
-    if args.corpus_dir is not None:
-        known = set(hut_corpus_keys(args.corpus_dir))
-        new = [k for k in result.unique_keys if k not in known]
-        if new:
-            print(f"NEW unshrunk hut findings (not in {args.corpus_dir}):",
-                  file=sys.stderr)
-            for key in new:
-                print(f"  {key}", file=sys.stderr)
-            print("shrink each with `python -m repro.testing hut-shrink` "
-                  "and check the result into the corpus.", file=sys.stderr)
-            return 1
-        print(f"  all finding keys already covered by {args.corpus_dir}")
-    return 0
-
-
-def cmd_hut_shrink(args) -> int:
-    from repro.testing.hut import (
-        load_program,
-        save_program,
-        save_hut_finding,
-        shrink_finding,
-    )
-
-    program = load_program(args.program)
-    finding = program.meta.get("finding") or {}
-    key = args.key or finding.get("key")
-    if key is None:
-        print("error: no --key given and none recorded in the program "
-              "header", file=sys.stderr)
-        return 2
-    bug = args.inject_bug or program.meta.get("bug")
-    perturb_seed = program.meta.get("perturb_seed")
-    if args.perturb_seed is not None:
-        perturb_seed = args.perturb_seed
-
-    original = len(program.ops)
-    reduced = shrink_finding(
-        program, key, bug=bug, perturb_seed=perturb_seed,
-        max_tests=args.max_tests, jobs=args.jobs,
-    )
-    ratio = len(reduced.ops) / max(1, original)
-    print(f"shrunk {original} -> {len(reduced.ops)} ops "
-          f"({ratio:.1%}) for {key}")
-
-    if args.corpus_dir is not None:
-        if not finding:
-            finding = {"key": key}
-        path = save_hut_finding(
-            args.corpus_dir, reduced, finding,
-            bug=bug, perturb_seed=perturb_seed,
-            original_ops=original,
-        )
-        print(f"saved hut corpus entry {path}")
-    elif args.out:
-        save_program(args.out, reduced)
-        print(f"saved shrunk program to {args.out}")
+        kind.write(args.out, reduced)
+        print(f"saved shrunk witness to {args.out}")
     return 0
 
 
 def cmd_corpus(args) -> int:
-    from repro.testing.hut import (
-        hut_corpus_entries,
-        load_program,
-        verify_hut_entry,
-    )
-
     entries = corpus_entries(args.dir)
-    hut_entries = hut_corpus_entries(args.dir)
     if args.action == "list":
-        if not entries and not hut_entries:
+        if not entries:
             print(f"(no corpus entries under {args.dir})")
             return 0
         for path in entries:
             try:
-                trace = load_any_trace(path)
-                finding = trace.header.meta.get("finding") or {}
-                print(f"{path}: {finding.get('key', '(no key)')} "
-                      f"[{len(trace.records)} records]")
-            except TraceFormatError as exc:
+                subject = load_entry(path)
+            except UNREADABLE as exc:
                 print(f"{path}: UNREADABLE ({exc})")
-        for path in hut_entries:
-            try:
-                program = load_program(path)
-                finding = program.meta.get("finding") or {}
-                tag = " (fixed)" if program.meta.get("fixed") else ""
-                print(f"{path}: {finding.get('key', '(no key)')}{tag} "
-                      f"[{len(program.ops)} ops]")
-            except TraceFormatError as exc:
-                print(f"{path}: UNREADABLE ({exc})")
+                continue
+            kind = kind_of(subject)
+            tag = " (fixed)" if kind.meta(subject).get("fixed") else ""
+            key = entry_finding(subject).get("key", "(no key)")
+            print(f"{path}: {key}{tag} "
+                  f"[{len(kind.items(subject))} {kind.UNIT}]")
         return 0
     # verify
     failures = 0
@@ -322,14 +179,7 @@ def cmd_corpus(args) -> int:
         print(f"{status:6s} {path}: {detail}")
         if not ok:
             failures += 1
-    for path in hut_entries:
-        ok, detail = verify_hut_entry(path)
-        status = "ok" if ok else "FAILED"
-        print(f"{status:6s} {path}: {detail}")
-        if not ok:
-            failures += 1
-    total = len(entries) + len(hut_entries)
-    print(f"verified {total} entries, {failures} failures")
+    print(f"verified {len(entries)} entries, {failures} failures")
     return 1 if failures else 0
 
 
@@ -365,105 +215,60 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded fuzzing campaign")
-    p_fuzz.add_argument("--scenario", default="exploit",
-                        choices=sorted(SCENARIOS))
-    p_fuzz.add_argument("--auditor", default=None,
-                        choices=sorted(AUDITOR_SCENARIOS),
-                        help="shorthand: pick the scenario exercising "
-                             "this auditor")
-    p_fuzz.add_argument("--budget", type=int, default=50,
-                        help="number of mutated/perturbed replays")
+    p_fuzz.add_argument("--target", default="exploit",
+                        choices=target_names(),
+                        help="a recorded scenario (auditors under test) "
+                             "or a hut target (emulation under test)")
     p_fuzz.add_argument("--seed", type=int, default=0)
+    p_fuzz.add_argument("--budget", type=int, default=60,
+                        help="executions, baseline included")
+    p_fuzz.add_argument("--length", type=int, default=48,
+                        help="hut targets: ops in each shard's baseline "
+                             "program")
     p_fuzz.add_argument("--mutations", type=int, default=2)
-    p_fuzz.add_argument("--no-perturb", action="store_true",
-                        help="trace mutations only, no schedule "
-                             "perturbation")
+    p_fuzz.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for the shard fan-out "
+                             "(default: REPRO_JOBS; results are "
+                             "byte-identical at any job count)")
+    p_fuzz.add_argument("--inject-bug", default=None,
+                        choices=sorted(SEEDED_BUGS),
+                        help="hut targets: run with this seeded emulator "
+                             "bug (mutation-kill audit)")
     p_fuzz.add_argument("--out", default=None,
                         help="write findings JSONL here")
     p_fuzz.add_argument("--artifacts", default=None,
-                        help="save the first trace exhibiting each "
-                             "finding key into this directory")
+                        help="save the first witness of each finding key "
+                             "into this directory")
+    p_fuzz.add_argument("--obs-out", default=None,
+                        help="write the campaign's merged metrics "
+                             "(canonical obs export lines) here")
     p_fuzz.add_argument("--corpus-dir", default=None,
                         help="fail only on finding keys not already "
                              "covered by this corpus (nightly mode)")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
-    p_shrink = sub.add_parser("shrink", help="minimize a failing trace")
-    p_shrink.add_argument("trace", nargs="?", default=None)
+    p_shrink = sub.add_parser("shrink", help="minimize a witness")
+    p_shrink.add_argument("file", nargs="?", default=None,
+                          help="a trace or hut program witness")
     p_shrink.add_argument("--known-miss", action="store_true",
                           help="shrink the built-in seeded HRKD "
                                "known-miss instead of a file")
     p_shrink.add_argument("--key", default=None,
                           help="finding key to preserve (default: the "
-                               "one recorded in the trace header)")
+                               "one recorded in the header)")
     p_shrink.add_argument("--seed", type=int, default=0,
                           help="seed for --known-miss")
-    p_shrink.add_argument("--max-tests", type=int, default=2000)
+    p_shrink.add_argument("--max-tests", type=int, default=None,
+                          help="ddmin budget (default: 2000 for traces, "
+                               "400 for hut programs)")
+    p_shrink.add_argument("--jobs", type=int, default=None,
+                          help="speculative ddmin workers (result is "
+                               "byte-identical at any job count)")
     p_shrink.add_argument("--out", default=None,
-                          help="write the shrunk trace here")
+                          help="write the shrunk witness here")
     p_shrink.add_argument("--corpus-dir", default=None,
-                          help="save the shrunk trace as a corpus entry")
+                          help="save the shrunk witness as a corpus entry")
     p_shrink.set_defaults(func=cmd_shrink)
-
-    p_hut = sub.add_parser(
-        "hut-fuzz",
-        help="differential-fuzz the hypervisor/hardware emulation",
-    )
-    from repro.testing.hut.bugs import SEEDED_BUGS as _HUT_BUGS
-    from repro.testing.hut.program import TARGETS as _HUT_TARGETS
-
-    p_hut.add_argument("--target", default="ept",
-                       choices=sorted(_HUT_TARGETS))
-    p_hut.add_argument("--seed", type=int, default=0)
-    p_hut.add_argument("--budget", type=int, default=60,
-                       help="candidate executions across all shards")
-    p_hut.add_argument("--length", type=int, default=48,
-                       help="ops in each shard's baseline program")
-    p_hut.add_argument("--mutations", type=int, default=2)
-    p_hut.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the shard fan-out "
-                            "(default: REPRO_JOBS; results are "
-                            "byte-identical at any job count)")
-    p_hut.add_argument("--inject-bug", default=None,
-                       choices=sorted(_HUT_BUGS),
-                       help="run with this seeded emulator bug "
-                            "(mutation-kill audit)")
-    p_hut.add_argument("--out", default=None,
-                       help="write findings JSONL here")
-    p_hut.add_argument("--artifacts", default=None,
-                       help="save the first program exhibiting each "
-                            "finding key into this directory")
-    p_hut.add_argument("--obs-out", default=None,
-                       help="write hut.* metrics (canonical obs export "
-                            "lines) here")
-    p_hut.add_argument("--corpus-dir", default=None,
-                       help="fail only on finding keys not already "
-                            "covered by hut-* corpus entries "
-                            "(nightly mode)")
-    p_hut.set_defaults(func=cmd_hut_fuzz)
-
-    p_hshrink = sub.add_parser(
-        "hut-shrink", help="minimize a hut witness program"
-    )
-    p_hshrink.add_argument("program", help="hut program JSONL file")
-    p_hshrink.add_argument("--key", default=None,
-                           help="finding key to preserve (default: the "
-                                "one recorded in the program header)")
-    p_hshrink.add_argument("--inject-bug", default=None,
-                           choices=sorted(_HUT_BUGS),
-                           help="seeded bug to re-inject (default: the "
-                                "one recorded in the program header)")
-    p_hshrink.add_argument("--perturb-seed", type=int, default=None)
-    p_hshrink.add_argument("--max-tests", type=int, default=400)
-    p_hshrink.add_argument("--jobs", type=int, default=None,
-                           help="speculative ddmin workers (result is "
-                                "byte-identical at any job count)")
-    p_hshrink.add_argument("--out", default=None,
-                           help="write the shrunk program here")
-    p_hshrink.add_argument("--corpus-dir", default=None,
-                           help="save the shrunk program as a hut "
-                                "corpus entry")
-    p_hshrink.set_defaults(func=cmd_hut_shrink)
 
     p_corpus = sub.add_parser("corpus", help="list/verify regression "
                                              "entries")

@@ -1,35 +1,22 @@
 """``repro.testing.hut`` — the fuzzer turned around.
 
-Where the rest of ``repro.testing`` fuzzes the *monitoring* stack
-(auditors consuming a recorded trace), this package fuzzes the
-*monitored* stack: the hypervisor and hardware emulation themselves
-become the system under test, IRIS-style (arXiv:2303.12817).  Seeded
-op programs drive the real machine through its trap-and-emulate doors;
-a dict-flat reference model recomputes what should have happened; a
-three-way oracle (reference differential, schedule differential,
-self-consistency) turns disagreement into stable findings that shrink
-with the generalized ddmin and land in ``tests/corpus/hut-*.jsonl``.
+Where the trace target of ``repro.testing`` fuzzes the *monitoring*
+stack (auditors consuming a recorded trace), this package supplies the
+targets that fuzz the *monitored* stack: the hypervisor and hardware
+emulation themselves become the system under test, IRIS-style
+(arXiv:2303.12817).  Seeded op programs drive the real machine through
+its trap-and-emulate doors; a dict-flat reference model recomputes what
+should have happened; a three-way oracle (reference differential,
+schedule differential, self-consistency) turns disagreement into stable
+findings.  :class:`HutTarget` plugs all of that into the shared
+campaign core, corpus and shrinker, so hut witnesses land in
+``tests/corpus/hut-*.jsonl`` next to the trace entries.
 
-CLI: ``python -m repro.testing hut-fuzz|hut-shrink``.  See DESIGN.md
-§5i and the hut-triage recipe in TESTING.md.
+CLI: ``python -m repro.testing fuzz --target ept|msr|dispatch|interleave``
+and ``shrink``.  See DESIGN.md §5i and the triage recipe in TESTING.md.
 """
 
 from repro.testing.hut.bugs import BUG_TARGETS, SEEDED_BUGS
-from repro.testing.hut.corpus import (
-    hut_corpus_entries,
-    hut_corpus_keys,
-    save_hut_finding,
-    verify_hut_entry,
-)
-from repro.testing.hut.fuzzer import (
-    HUT_SHARDS,
-    HutFindingPredicate,
-    HutFuzzConfig,
-    HutFuzzResult,
-    fuzz_hut,
-    run_candidate,
-    shrink_finding,
-)
 from repro.testing.hut.harness import HutHarness, INTEREST_REASONS
 from repro.testing.hut.oracle import (
     consistency_findings,
@@ -45,31 +32,23 @@ from repro.testing.hut.program import (
     save_program,
 )
 from repro.testing.hut.reference import ReferenceModel
+from repro.testing.hut.target import HutTarget, run_candidate
 
 __all__ = [
     "BUG_TARGETS",
     "SEEDED_BUGS",
-    "HUT_SHARDS",
-    "HutFindingPredicate",
-    "HutFuzzConfig",
-    "HutFuzzResult",
     "HutHarness",
     "HutOp",
     "HutProgram",
+    "HutTarget",
     "INTEREST_REASONS",
     "ReferenceModel",
     "TARGETS",
     "consistency_findings",
     "differential_findings",
     "evaluate",
-    "fuzz_hut",
     "generate_program",
-    "hut_corpus_entries",
-    "hut_corpus_keys",
     "load_program",
     "run_candidate",
-    "save_hut_finding",
     "save_program",
-    "shrink_finding",
-    "verify_hut_entry",
 ]

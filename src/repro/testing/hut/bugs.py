@@ -6,7 +6,7 @@ defect — the kind of bug the differential is *for* — injected into one
 harness instance (never globally monkey-patched: the patches bind to
 the instance's own objects, so parallel shards and the pytest suite
 never see each other's bugs).  ``tests/test_hut_fuzzer.py`` asserts
-that ``hut-fuzz`` on the bug's designated target detects every one of
+that a ``fuzz`` campaign on the bug's designated target detects every one of
 these within a fixed budget, and the shipped ``tests/corpus/hut-*``
 entries replay shrunk witnesses against re-injected bugs.
 
@@ -112,7 +112,7 @@ SEEDED_BUGS: Dict[str, Callable[[HutHarness], None]] = {
 }
 
 #: The target whose op mix reliably reaches each bug (the kill audit
-#: runs ``hut-fuzz`` here with a small fixed budget).
+#: fuzzes this target with a small fixed budget).
 BUG_TARGETS: Dict[str, str] = {
     "ept-exec-bypass": "ept",
     "ept-remap-noop": "ept",

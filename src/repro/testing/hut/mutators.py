@@ -3,7 +3,7 @@
 Each mutator is a named pure function ``(ops, rng, program) -> ops`` —
 the registry keys double as the classes the mutation-kill audit
 enumerates (``tests/test_hut_fuzzer.py``): for every mutator class
-there must exist a seeded bug + budget under which ``hut-fuzz`` finds a
+there must exist a seeded bug + budget under which ``fuzz`` finds a
 divergence, or the class is dead weight.
 
 Soundness constraint for the ``interleave`` target: mutations must

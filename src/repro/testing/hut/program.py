@@ -66,6 +66,28 @@ _UNKNOWN_MSRS = (0x1FF, 0xC0000080)
 
 _VECTORS = (0x80, 0x2E, 0x0D, 0x21)
 
+#: Required arguments per op; ``direction`` and ``field`` are strings,
+#: every other argument is an integer.
+OP_ARGS: Dict[str, tuple] = {
+    "ept_set": ("gpa", "r", "w", "x"),
+    "ept_remap": ("gpa", "hfn"),
+    "read": ("gva",),
+    "exec": ("gva",),
+    "write": ("gva", "value"),
+    "wrmsr": ("index", "value"),
+    "rdmsr": ("index",),
+    "cr3": ("space",),
+    "io": ("port", "direction", "value"),
+    "softint": ("vector",),
+    "irq": ("vector",),
+    "hlt": (),
+    "tss": ("value",),
+    "kenter": (),
+    "vmcs": ("field", "value"),
+    "except_bit": ("vector",),
+}
+_STRING_ARGS = ("direction", "field")
+
 _VALUES = (
     0,
     1,
@@ -90,14 +112,31 @@ class HutOp:
                 "args": dict(self.args)}
 
     @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "HutOp":
-        if record.get("kind") != "op" or "op" not in record:
+    def from_record(cls, record: Any) -> "HutOp":
+        if not isinstance(record, dict):
             raise TraceFormatError(f"not a hut op record: {record!r}")
-        return cls(
-            op=str(record["op"]),
-            vcpu=int(record.get("vcpu", 0)),
-            args=dict(record.get("args") or {}),
-        )
+        op, args = record.get("op"), record.get("args") or {}
+        if (
+            record.get("kind") != "op"
+            or not isinstance(op, str)
+            or op not in OP_ARGS
+            or not isinstance(args, dict)
+            or any(name not in args for name in OP_ARGS[op])
+        ):
+            raise TraceFormatError(f"not a hut op record: {record!r}")
+        for name, value in args.items():
+            if type(value) is not (str if name in _STRING_ARGS else int):
+                raise TraceFormatError(
+                    f"hut op argument {name!r} has the wrong type: {value!r}"
+                )
+        return cls(op=op, vcpu=_int_field(record, "vcpu", 0), args=dict(args))
+
+
+def _int_field(record: Dict[str, Any], name: str, default: int) -> int:
+    value = record.get(name, default)
+    if type(value) is not int:
+        raise TraceFormatError(f"hut field {name!r} is not an integer: {value!r}")
+    return value
 
 
 @dataclass
@@ -145,32 +184,45 @@ def save_program(path: str, program: HutProgram) -> None:
 
 def load_program(path: str) -> HutProgram:
     """Inverse of :func:`save_program`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in (l.strip() for l in fh) if line]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in (l.strip() for l in fh) if line]
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not a text file: {exc}")
     if not lines:
         raise TraceFormatError(f"{path}: empty hut program file")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: bad header line: {exc}")
-    hut = header.get("hut")
-    if header.get("kind") != "header" or not isinstance(hut, dict):
+    hut = header.get("hut") if isinstance(header, dict) else None
+    if not isinstance(hut, dict) or header.get("kind") != "header":
         raise TraceFormatError(f"{path}: not a hut program header")
     meta = {
         key: value
         for key, value in header.items()
         if key not in ("kind", "hut")
     }
+    target = hut.get("target", "dispatch")
+    if target not in TARGETS:
+        raise TraceFormatError(f"{path}: unknown hut target {target!r}")
+    seed = _int_field(hut, "seed", 0)
+    num_vcpus = _int_field(hut, "num_vcpus", 1)
+    if num_vcpus < 1:
+        raise TraceFormatError(f"{path}: num_vcpus {num_vcpus} < 1")
     ops = []
     for line in lines[1:]:
         try:
-            ops.append(HutOp.from_record(json.loads(line)))
+            op = HutOp.from_record(json.loads(line))
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"{path}: bad op line: {exc}")
+        if not 0 <= op.vcpu < num_vcpus:
+            raise TraceFormatError(f"{path}: op on absent vCPU {op.vcpu}")
+        ops.append(op)
     return HutProgram(
-        target=str(hut.get("target", "dispatch")),
-        seed=int(hut.get("seed", 0)),
-        num_vcpus=int(hut.get("num_vcpus", 1)),
+        target=target,
+        seed=seed,
+        num_vcpus=num_vcpus,
         ops=ops,
         meta=meta,
     )

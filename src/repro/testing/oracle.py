@@ -361,9 +361,6 @@ class DifferentialOracle:
             "ht-ninja": NinjaOracle(),
         }
 
-    def oracle_for(self, auditor_name: str):
-        return self._oracles.get(auditor_name)
-
     def check(self, trace: Trace, report) -> List[Discrepancy]:
         """All discrepancies between ``trace`` ground truth and a
         :class:`~repro.replay.source.ReplayReport`."""

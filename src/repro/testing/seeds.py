@@ -1,9 +1,8 @@
 """Deterministic base traces for the conformance harness.
 
-The fuzzer mutates *from* somewhere: each recordable scenario
-(:data:`repro.replay.recorder.SCENARIOS`) provides one seeded base
-trace, and the auditor-name shorthand (``fuzz --auditor goshd``) maps
-to the scenario that exercises that auditor.
+The trace fuzz target mutates *from* somewhere: each recordable
+scenario (:data:`repro.replay.recorder.SCENARIOS`) provides one seeded
+base trace.
 
 :func:`known_miss_trace` is the harness's own regression anchor: a
 deliberately constructed HRKD miss (Heckler-style timing evasion of
@@ -14,56 +13,19 @@ nightly job both rely on being found and reduced.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.auditors.goshd import GuestOSHangDetector
-from repro.auditors.hrkd import HiddenRootkitDetector
-from repro.auditors.ht_ninja import HTNinja
-from repro.core.auditor import Auditor
 from repro.core.derive import PF_KTHREAD
 from repro.errors import TraceFormatError
 from repro.replay.format import KIND_SCAN, Trace
-from repro.replay.recorder import SCENARIOS, record_scenario
+from repro.replay.recorder import record_scenario
 from repro.sim.clock import SECOND
-from repro.testing.oracle import finding_key
-
-#: ``--auditor`` shorthand -> the scenario that exercises it.
-AUDITOR_SCENARIOS: Dict[str, str] = {
-    "goshd": "hang",
-    "hrkd": "rootkit",
-    "ht-ninja": "exploit",
-    "all": "baseline",
-}
-
-_AUDITOR_CLASSES = {
-    "goshd": GuestOSHangDetector,
-    "hrkd": HiddenRootkitDetector,
-    "ht-ninja": HTNinja,
-}
+from repro.testing.oracle import Discrepancy
 
 
 def base_trace(scenario: str, seed: int = 0) -> Trace:
     """Record one scenario's trace deterministically."""
     return record_scenario(scenario, seed=seed).trace
-
-
-def auditors_for(trace: Trace) -> List[Auditor]:
-    """Fresh auditors matching what the trace was recorded under."""
-    scenario = SCENARIOS.get(trace.header.scenario)
-    if scenario is not None:
-        return scenario.build_auditors()
-    names = trace.header.meta.get("auditors") or []
-    auditors = [
-        _AUDITOR_CLASSES[name]()
-        for name in names
-        if name in _AUDITOR_CLASSES
-    ]
-    if not auditors:
-        raise TraceFormatError(
-            f"cannot infer auditors for scenario "
-            f"{trace.header.scenario!r} (header lists {names!r})"
-        )
-    return auditors
 
 
 # ======================================================================
@@ -74,8 +36,8 @@ def auditors_for(trace: Trace) -> List[Auditor]:
 KNOWN_MISS_GAP_NS = 12 * SECOND
 
 
-def known_miss_trace(seed: int = 0) -> Tuple[Trace, str]:
-    """A trace HRKD is known to miss, plus its expected finding key.
+def known_miss_trace(seed: int = 0) -> Tuple[Trace, Discrepancy]:
+    """A trace HRKD is known to miss, plus the finding it should yield.
 
     Construction: record the rootkit scenario, then delay the scan
     marker (and everything after it) by 12 s — the adversary stalls
@@ -83,7 +45,7 @@ def known_miss_trace(seed: int = 0) -> Tuple[Trace, str]:
     aged out of HRKD's freshness window.  The pid did execute and is
     absent from the untrusted view, so the oracle still expects it;
     HRKD's pid-level detection goes silent (its count-based path may
-    still fire, but names no pid).  Returns ``(trace, finding_key)``.
+    still fire, but names no pid).  Returns ``(trace, finding)``.
     """
     run = record_scenario("rootkit", seed=seed)
     trace = Trace(
@@ -130,4 +92,4 @@ def known_miss_trace(seed: int = 0) -> Tuple[Trace, str]:
         "gap_ns": KNOWN_MISS_GAP_NS,
         "hidden_pid": hidden_pid,
     }
-    return trace, finding_key("miss", "hrkd", {"pid": hidden_pid})
+    return trace, Discrepancy("miss", "hrkd", {"pid": hidden_pid})

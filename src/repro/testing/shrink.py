@@ -1,13 +1,16 @@
-"""ddmin-style trace reduction: from a failing trace to a minimal repro.
+"""ddmin reduction: from a failing trace or program to a minimal repro.
 
-Zeller's delta debugging over the trace body: repeatedly try removing
-chunks of records and keep any removal under which the interesting
-property (the same differential finding, by key) still reproduces.
-Timestamps are preserved — a finding that depends on a silence gap or
-on sighting staleness survives removal of unrelated records but not a
-renumbering — and the header is kept verbatim apart from a recount.
+Zeller's delta debugging over a witness's items — a trace's records or
+a hut program's ops: repeatedly try removing chunks and keep any
+removal under which the interesting property (the same finding, by
+key) still reproduces.  Trace timestamps are preserved — a finding that
+depends on a silence gap or on sighting staleness survives removal of
+unrelated records but not a renumbering — and the header is kept
+verbatim apart from a recount.
 
-The predicate replays each candidate, so reduction cost is bounded by
+:class:`FindingPredicate` is the one replay-and-check predicate for
+both entry kinds; :func:`shrink_entry` wraps it around :func:`ddmin`.
+Each test replays a candidate, so reduction cost is bounded by
 ``max_tests`` replays; with the auditor pipeline at ~100k events/s a
 few hundred tests over a shrinking trace finish in seconds.
 """
@@ -20,8 +23,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.replay.format import Trace
 from repro.replay.source import ReplaySource
 from repro.sim.perturb import perturbation_from_params
-from repro.testing.oracle import DifferentialOracle
-from repro.testing.seeds import auditors_for
 
 
 def materialize_schedule(
@@ -46,38 +47,15 @@ def materialize_schedule(
     )
     source.run()
     ordered = sorted(source.delivery_log, key=lambda e: e[:3])
-    materialized = _subtrace(
+    materialized = subtrace(
         trace, [copy.deepcopy(e[3]) for e in ordered]
     )
     materialized.header.meta["materialized_from"] = dict(perturb_params)
     return materialized
 
 
-def make_finding_predicate(
-    key: str,
-    perturb_params: Optional[Dict[str, Any]] = None,
-    oracle: Optional[DifferentialOracle] = None,
-) -> Callable[[Trace], bool]:
-    """True when replaying ``trace`` still yields the finding ``key``."""
-    oracle = oracle if oracle is not None else DifferentialOracle()
-
-    def predicate(trace: Trace) -> bool:
-        perturb = (
-            perturbation_from_params(perturb_params)
-            if perturb_params is not None
-            else None
-        )
-        try:
-            auditors = auditors_for(trace)
-            report = ReplaySource(trace, auditors, perturb=perturb).run()
-        except Exception:  # noqa: BLE001 - a crashing candidate is not a repro
-            return False
-        return any(d.key() == key for d in oracle.check(trace, report))
-
-    return predicate
-
-
-def _subtrace(trace: Trace, records: List[Dict[str, Any]]) -> Trace:
+def subtrace(trace: Trace, records: List[Dict[str, Any]]) -> Trace:
+    """``trace``'s header (deep-copied, recounted) around ``records``."""
     sub = Trace(header=copy.deepcopy(trace.header), records=records)
     sub.recount()
     return sub
@@ -111,9 +89,8 @@ def ddmin(
 
     Minimizes ``items`` while ``predicate(candidate)`` keeps holding;
     the predicate is pluggable, so the same reducer shrinks replay
-    traces (via :func:`shrink_trace`) and hut op programs (via
-    ``repro.testing.hut``) — any divergence that can be phrased as a
-    boolean over a sub-sequence.
+    traces and hut op programs (via :func:`shrink_entry`) — any
+    divergence that can be phrased as a boolean over a sub-sequence.
 
     ``predicate`` must hold on ``items`` itself (``ValueError``
     otherwise — shrinking a non-repro silently would hide harness
@@ -221,9 +198,58 @@ def shrink_trace(
     try:
         reduced = ddmin(
             list(trace.records),
-            lambda records: predicate(_subtrace(trace, records)),
+            lambda records: predicate(subtrace(trace, records)),
             max_tests=max_tests,
         )
     except ValueError:
         raise ValueError("predicate does not hold on the unshrunk trace")
-    return _subtrace(trace, reduced)
+    return subtrace(trace, reduced)
+
+
+class FindingPredicate:
+    """Picklable "does this item subset still exhibit finding ``key``?".
+
+    ``kind`` is the entry's target class
+    (:func:`repro.testing.corpus.kind_of`): each subset of records or
+    ops is rebuilt around ``subject``'s header and replayed with
+    ``params`` — the schedule perturbation, or the seeded bug and
+    interleave seed.  A module-level class, so :func:`ddmin` can ship it
+    to worker processes when shrinking with ``jobs > 1``.
+    """
+
+    def __init__(self, kind, subject, key: str, params) -> None:
+        self.kind = kind
+        self.template = kind.rebuild(subject, [])
+        self.key = key
+        self.params = params
+
+    def __call__(self, items: List[Any]) -> bool:
+        try:
+            found = self.kind.check(
+                self.kind.rebuild(self.template, items), self.params
+            )
+        except Exception:  # noqa: BLE001 - a crashing candidate is not a repro
+            return False
+        return any(d.key() == self.key for d in found)
+
+
+def shrink_entry(
+    kind,
+    subject,
+    key: str,
+    params,
+    max_tests: Optional[int] = None,
+    jobs: Optional[int] = None,
+):
+    """ddmin a trace or program down to a 1-minimal repro of ``key``.
+
+    ``max_tests`` defaults to the kind's ``SHRINK_TESTS``.  Raises
+    ``ValueError`` when the finding does not reproduce on ``subject``.
+    """
+    reduced = ddmin(
+        list(kind.items(subject)),
+        FindingPredicate(kind, subject, key, params),
+        max_tests=max_tests or kind.SHRINK_TESTS,
+        jobs=jobs,
+    )
+    return kind.rebuild(subject, reduced)

@@ -1,14 +1,14 @@
-"""hut-fuzz campaign contracts: determinism, bug kill, shrink.
+"""Hut-target campaign contracts: determinism, bug kill, shrink.
 
 Three acceptance properties of the turned-around fuzzer:
 
 * **byte reproducibility** — the same ``(target, seed, budget)`` names
   the same campaign report, at any job count (sharding is fixed at
-  ``HUT_SHARDS``, never derived from ``jobs``);
+  ``HutTarget.SHARDS``, never derived from ``jobs``);
 * **mutation kill** — every seeded emulator bug is detected by its
   designated target within a small fixed budget (the audit that the
   oracle actually has teeth);
-* **shrink** — ``shrink_finding`` reduces a witness deterministically
+* **shrink** — ``shrink_entry`` reduces a witness deterministically
   and its predicate rejects non-reproducing op subsets.
 """
 
@@ -19,36 +19,48 @@ import random
 
 import pytest
 
+from repro.testing.fuzzer import FuzzConfig, fuzz
 from repro.testing.hut import (
     BUG_TARGETS,
-    HutFindingPredicate,
-    HutFuzzConfig,
+    HutTarget,
     SEEDED_BUGS,
     TARGETS,
-    fuzz_hut,
     generate_program,
     run_candidate,
-    shrink_finding,
 )
 from repro.testing.hut.mutators import MUTATORS, mutate_program
+from repro.testing.shrink import FindingPredicate, shrink_entry
 
 
 def _report_json(result) -> str:
-    return json.dumps(result.report(), sort_keys=True)
+    return json.dumps(
+        {
+            "executions": result.executions,
+            "crashes": result.crashes,
+            "coverage_features": len(result.coverage),
+            "findings": result.findings,
+            "metrics": result.metrics,
+        },
+        sort_keys=True,
+    )
+
+
+def shrink_finding(program, key, bug=None, jobs=None):
+    return shrink_entry(HutTarget, program, key, (bug, None), jobs=jobs)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_campaign_byte_reproducible(target):
-    config = HutFuzzConfig(target=target, seed=13, budget=10, length=24)
-    first = fuzz_hut(config)
-    second = fuzz_hut(config)
+    config = FuzzConfig(target=target, seed=13, budget=10, length=24)
+    first = fuzz(config)
+    second = fuzz(config)
     assert _report_json(first) == _report_json(second)
 
 
 def test_campaign_identical_at_jobs_1_and_2():
-    config = HutFuzzConfig(target="ept", seed=13, budget=12, length=24)
-    serial = fuzz_hut(config, jobs=1)
-    parallel = fuzz_hut(config, jobs=2)
+    config = FuzzConfig(target="ept", seed=13, budget=12, length=24)
+    serial = fuzz(config, jobs=1)
+    parallel = fuzz(config, jobs=2)
     assert _report_json(serial) == _report_json(parallel)
     assert serial.executions == 12
 
@@ -57,8 +69,8 @@ def test_campaign_identical_at_jobs_1_and_2():
 def test_clean_campaign_is_silent(target):
     # No false positives: a bug-free emulator never diverges from the
     # reference, never trips self-consistency, never crashes.
-    result = fuzz_hut(
-        HutFuzzConfig(target=target, seed=3, budget=12, length=32)
+    result = fuzz(
+        FuzzConfig(target=target, seed=3, budget=12, length=32)
     )
     assert result.findings == []
     assert result.crashes == 0
@@ -71,8 +83,8 @@ def test_clean_campaign_is_silent(target):
 def test_every_seeded_bug_is_killed(bug, target):
     # The mutation-kill audit: budget and seed are fixed, so a detector
     # regression shows up as a deterministic test failure, not flake.
-    result = fuzz_hut(
-        HutFuzzConfig(target=target, seed=1, budget=20, length=48, bug=bug)
+    result = fuzz(
+        FuzzConfig(target=target, seed=1, budget=20, length=48, bug=bug)
     )
     assert result.findings, f"seeded bug {bug!r} survived {target} campaign"
 
@@ -84,9 +96,9 @@ def test_bug_targets_cover_all_seeded_bugs():
 
 def test_config_rejects_unknown_target_and_bug():
     with pytest.raises(ValueError):
-        HutFuzzConfig(target="gpu", seed=1)
+        FuzzConfig(target="gpu", seed=1)
     with pytest.raises(ValueError):
-        HutFuzzConfig(target="ept", seed=1, bug="no-such-bug")
+        FuzzConfig(target="ept", seed=1, bug="no-such-bug")
 
 
 def test_every_mutator_class_applies():
@@ -110,7 +122,7 @@ def test_finding_key_reproduces_and_shrinks():
     assert findings
     key = findings[0].key()
 
-    predicate = HutFindingPredicate(program, key, bug=bug)
+    predicate = FindingPredicate(HutTarget, program, key, (bug, None))
     assert predicate(program.ops)
     assert not predicate([])  # ddmin never tries it, but the contract holds
 

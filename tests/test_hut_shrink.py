@@ -1,8 +1,8 @@
 """Unit tests for the generalized ddmin reducer.
 
 `repro.testing.shrink.ddmin` now takes an arbitrary item sequence and
-a pluggable boolean predicate (the hut shrinker and the trace shrinker
-are both thin wrappers over it).  These tests pin the reducer contract
+a pluggable boolean predicate (``shrink_entry`` drives it for hut
+programs and traces alike).  These tests pin the reducer contract
 in isolation, on predicates cheap enough to exhaust:
 
 * minimization to exactly the relevant subset under a monotone
@@ -12,9 +12,9 @@ in isolation, on predicates cheap enough to exhaust:
 * byte-identical results (and test counts) at ``jobs=1`` vs ``jobs=2``
   — the parallel path is speculative, committing in serial order.
 
-CLI-level byte reproducibility of ``hut-fuzz``/``hut-shrink`` rides
-along at the bottom, since the acceptance contract is phrased against
-the command line.
+CLI-level byte reproducibility of ``fuzz``/``shrink`` on hut targets
+rides along at the bottom, since the acceptance contract is phrased
+against the command line.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def test_ddmin_budget_identical_at_jobs_1_and_2():
 def _run_hut_fuzz(tmp_path, name, jobs):
     out = tmp_path / name
     rc = main([
-        "hut-fuzz", "--target", "msr", "--seed", "5", "--budget", "8",
+        "fuzz", "--target", "msr", "--seed", "5", "--budget", "8",
         "--length", "24", "--jobs", str(jobs), "--out", str(out),
     ])
     assert rc == 0
@@ -136,7 +136,7 @@ def test_cli_hut_fuzz_byte_reproducible(tmp_path):
 def test_cli_hut_fuzz_then_shrink_round_trip(tmp_path, capsys):
     artifacts = tmp_path / "findings"
     rc = main([
-        "hut-fuzz", "--target", "ept", "--seed", "1", "--budget", "16",
+        "fuzz", "--target", "ept", "--seed", "1", "--budget", "16",
         "--inject-bug", "ept-exec-bypass", "--artifacts", str(artifacts),
     ])
     assert rc == 0
@@ -145,7 +145,7 @@ def test_cli_hut_fuzz_then_shrink_round_trip(tmp_path, capsys):
     assert witnesses
     shrunk_path = tmp_path / "shrunk.jsonl"
     rc = main([
-        "hut-shrink", str(witnesses[0]), "--out", str(shrunk_path),
+        "shrink", str(witnesses[0]), "--out", str(shrunk_path),
     ])
     assert rc == 0
     capsys.readouterr()
@@ -153,11 +153,18 @@ def test_cli_hut_fuzz_then_shrink_round_trip(tmp_path, capsys):
     header = json.loads(lines[0])
     assert header["hut"]["ops"] == len(lines) - 1
     assert header["hut"]["ops"] < 48
+    sharded_path = tmp_path / "shrunk-j2.jsonl"
+    rc = main([
+        "shrink", str(witnesses[0]), "--jobs", "2",
+        "--out", str(sharded_path),
+    ])
+    assert rc == 0
+    assert sharded_path.read_bytes() == shrunk_path.read_bytes()
 
 
 def test_cli_rejects_unknown_bug(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["hut-fuzz", "--target", "msr", "--seed", "1",
+        main(["fuzz", "--target", "msr", "--seed", "1",
               "--inject-bug", "nope"])
     assert excinfo.value.code == 2
     assert "invalid choice" in capsys.readouterr().err

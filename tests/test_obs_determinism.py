@@ -87,11 +87,13 @@ class TestJobCountInvariance:
         assert any('"exits"' in line for line in a)
 
     def test_fuzz_campaign_metrics_are_reproducible(self):
-        config = FuzzConfig(scenario="exploit", seed=5, budget=3)
-        first = fuzz(config)
-        second = fuzz(config)
-        assert first.metrics == second.metrics
-        assert export_lines(first.metrics)  # non-empty pipeline scope
+        # One trace target and one hut target through the same core.
+        for target in ("exploit", "msr"):
+            config = FuzzConfig(target=target, seed=5, budget=4)
+            first = fuzz(config)
+            second = fuzz(config)
+            assert first.metrics == second.metrics, target
+            assert export_lines(first.metrics), target  # non-empty pipeline scope
 
 
 class TestGoldenSnapshot:

@@ -303,7 +303,7 @@ class TestFuzzEquivalence:
         from repro.testing.fuzzer import FuzzConfig, fuzz, fuzz_many
 
         configs = [
-            FuzzConfig(scenario="exploit", seed=seed, budget=4)
+            FuzzConfig(target="exploit", seed=seed, budget=5)
             for seed in (0, 1, 2)
         ]
         serial = [fuzz(c) for c in configs]
@@ -312,8 +312,8 @@ class TestFuzzEquivalence:
             assert [r.unique_keys for r in fanned] == [
                 r.unique_keys for r in serial
             ], f"jobs={jobs}"
-            assert [r.iterations for r in fanned] == [
-                r.iterations for r in serial
+            assert [r.executions for r in fanned] == [
+                r.executions for r in serial
             ]
             assert [sorted(r.coverage.features) for r in fanned] == [
                 sorted(r.coverage.features) for r in serial

@@ -21,7 +21,7 @@ from repro.replay.format import (
 from repro.sim.clock import MILLISECOND, SECOND
 from repro.testing import __main__ as cli
 from repro.testing.coverage import CoverageAuditor, CoverageMap, gap_bucket
-from repro.testing.fuzzer import FuzzConfig, Fuzzer
+from repro.testing.fuzzer import FuzzConfig, TraceTarget, fuzz
 from repro.testing.oracle import (
     DifferentialOracle,
     Discrepancy,
@@ -31,7 +31,7 @@ from repro.testing.oracle import (
     finding_key,
 )
 from repro.testing.seeds import base_trace, known_miss_trace
-from repro.testing.shrink import make_finding_predicate, shrink_trace
+from repro.testing.shrink import FindingPredicate, shrink_trace
 
 THRESHOLD = GoshdOracle().threshold_ns
 CERTAIN_BAR = THRESHOLD + 2 * GoshdOracle().check_period_ns
@@ -328,23 +328,28 @@ class TestDifferentialOracle:
 # ======================================================================
 # Seeds, fuzzer, shrinking
 # ======================================================================
+def reproduces(trace, key) -> bool:
+    return FindingPredicate(TraceTarget, trace, key, None)(trace.records)
+
+
 class TestKnownMiss:
     def test_known_miss_reproduces_through_replay(self):
-        trace, key = known_miss_trace(seed=0)
+        trace, finding = known_miss_trace(seed=0)
+        key = finding.key()
         assert key.startswith("miss:hrkd:pid=")
-        assert make_finding_predicate(key)(trace)
+        assert reproduces(trace, key)
 
     def test_base_scenario_has_no_findings(self):
         # The pristine rootkit recording must be conformant — the
         # known miss is *constructed*, not latent.
         trace = base_trace("rootkit", seed=0)
-        assert not make_finding_predicate("miss:hrkd:pid=7")(trace)
+        assert not reproduces(trace, "miss:hrkd:pid=7")
 
 
 class TestFuzzerDeterminism:
     def test_same_seed_same_campaign(self):
         results = [
-            Fuzzer(FuzzConfig(scenario="exploit", seed=3, budget=6)).run()
+            fuzz(FuzzConfig(target="exploit", seed=3, budget=7))
             for _ in range(2)
         ]
         a, b = results
@@ -353,8 +358,8 @@ class TestFuzzerDeterminism:
         assert a.pool_size == b.pool_size
 
     def test_different_seeds_diverge(self):
-        a = Fuzzer(FuzzConfig(scenario="exploit", seed=3, budget=6)).run()
-        b = Fuzzer(FuzzConfig(scenario="exploit", seed=4, budget=6)).run()
+        a = fuzz(FuzzConfig(target="exploit", seed=3, budget=7))
+        b = fuzz(FuzzConfig(target="exploit", seed=4, budget=7))
         assert (
             a.findings != b.findings
             or a.coverage.sorted_features() != b.coverage.sorted_features()

@@ -118,8 +118,11 @@ def load_trace_observed(path: str, registry: MetricsRegistry):
 
     * ``trace.records_salvaged{vm}`` — records recovered before the cut
     * ``flow.dropped{vm, stage=trace-read, reason=truncated-stream}``
+
+    A btrace record whose table references do not resolve is no cut:
+    it has no dict, so its :class:`BadReferenceError` propagates.
     """
-    from repro.replay.btrace import BinaryTraceReader, is_btrace_path
+    from repro.replay.btrace import BadReferenceError, BinaryTraceReader, is_btrace_path
     from repro.replay.format import Trace
     from repro.replay.trace_io import TraceReader
 
@@ -136,6 +139,8 @@ def load_trace_observed(path: str, registry: MetricsRegistry):
     try:
         for record in reader:
             records.append(record)
+    except BadReferenceError:
+        raise
     except TraceFormatError as exc:
         salvaged = exc.records_read
         if salvaged is None:

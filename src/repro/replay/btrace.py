@@ -31,12 +31,15 @@ per-type payload, then optional hw (11 x u64), task and parent blocks
 comm/exe, reasons, canonical-JSON detail/qual) are table references;
 syscall arg vectors are packed u64 blobs.
 
-Reading is **zero-copy and lazy**: :meth:`BinaryTraceReader.events`
-yields view objects that subclass the real event classes but hold only
-``(buffer, offset)`` — fields unpack on attribute access, so a counting
-or filtering pass over a million-event trace never materializes a dict.
-``to_record()``/``payload()`` are inherited and work through the
-properties, which is what the byte-identity tests lean on.
+Replay reads eagerly: :meth:`BinaryTraceReader.iter_decoded` decodes
+each fixed-layout record, with one precompiled ``struct`` call, into
+the objects ``GuestEvent.from_record`` and ``task_from_record`` build
+from its dict.  The codec decodes the first record of each distinct
+payload from that dict; the records that repeat the payload reuse it
+and set their own fields directly.  Full record dicts are built only
+for consumers that ask (``Trace.records``, ``convert``).  The lazy
+views of :meth:`BinaryTraceReader.events` remain the counting fast
+path.
 
 The header line is stored *verbatim* (and the JSONL footer, when the
 source stream had one), so ``convert`` round-trips canonically-written
@@ -55,29 +58,20 @@ import io
 import json
 import mmap
 import struct
-from functools import cached_property
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.derive import DerivedTaskInfo
-from repro.core.events import (
-    EVENT_CLASSES,
-    GuestEvent,
-    IOEvent,
-    MemoryAccessEvent,
-    ProcessSwitchEvent,
-    RawExitEvent,
-    SyscallEvent,
-    ThreadSwitchEvent,
-    TssIntegrityAlert,
-)
+from repro.core.events import EVENT_CLASSES, GuestEvent
 from repro.errors import TraceFormatError
 from repro.hw.exits import ExitReason, GuestStateSnapshot
 from repro.replay.format import (
+    _TASK_FIELDS,
     KIND_EVENT,
-    KIND_FOOTER,
     Trace,
     TraceHeader,
     event_to_record,
+    task_from_record,
 )
 
 #: First bytes of every btrace file.  Distinct from gzip (``\x1f\x8b``)
@@ -129,23 +123,15 @@ BTRACE_LAYOUTS: Dict[str, Tuple[str, Tuple[Tuple[str, str], ...]]] = {
 
 _TAG_ESCAPE = 0
 
-_COMMON = struct.Struct("<QHI")  # t, vcpu, vm ref
 _HW = struct.Struct("<11Q")
 _TASK = struct.Struct("<QQQQQQII")  # gva pid uid euid flags parent_gva comm exe
 _LEN32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_U16AT9 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 _TRAILER = struct.Struct("<QQQQQ8s")  # count, strings, blobs, tail, index, magic
 
 _SNAPSHOT_FIELDS = (
     "cr3", "tr_base", "rsp", "rip",
     "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "cpl",
-)
-
-_TASK_FIELDS = (
-    "task_struct_gva", "pid", "uid", "euid", "comm", "exe", "flags",
-    "parent_gva",
 )
 
 #: Exact key set of a fixed-layout event record, per type value.
@@ -267,92 +253,66 @@ class BinaryTraceWriter:
             or type(vm) is not str
         ):
             return None
-        task = record.get("task")
-        parent = record.get("parent")
-        keys = _CANONICAL_KEYS[type_value]
-        extra = record.keys() - keys
-        if extra - {"task", "parent"}:
+        if record.keys() - _CANONICAL_KEYS[type_value] - {"task", "parent"}:
             return None
         hw = record.get("hw")
-        if hw is not None:
-            if type(hw) is not list or len(hw) != 11:
-                return None
-            for v in hw:
-                if not _is_u64(v):
-                    return None
-        payload_values: List[int] = []
-        fmt, fields = layout
-        for name, kind in fields:
+        if hw is not None and (
+            type(hw) is not list or len(hw) != 11 or not all(map(_is_u64, hw))
+        ):
+            return None
+        values: List[int] = [t, vcpu, 0]
+        for name, kind in layout[1]:
             value = record.get(name)
             if kind == "u64":
                 if not _is_u64(value):
                     return None
-                payload_values.append(value)
             elif kind == "str":
                 if type(value) is not str:
                     return None
-                payload_values.append(self._intern(value))
+                value = self._intern(value)
             elif kind == "json":
                 if type(value) is not dict:
                     return None
-                payload_values.append(self._intern(_encode(value)))
+                value = self._intern(_encode(value))
             else:  # blob: a u64 vector
-                if type(value) is not list:
+                if type(value) is not list or not all(map(_is_u64, value)):
                     return None
-                for v in value:
-                    if not _is_u64(v):
-                        return None
-                packed = b"".join(_U64.pack(v) for v in value)
-                payload_values.append(self._intern_blob(packed))
-        task_bytes = parent_bytes = b""
-        if task is not None:
-            task_bytes = self._pack_task(task)
-            if task_bytes is None:
-                return None
-        if parent is not None:
-            parent_bytes = self._pack_task(parent)
-            if parent_bytes is None:
-                return None
+                value = self._intern_blob(b"".join(_U64.pack(v) for v in value))
+            values.append(value)
+        if hw is not None:
+            values += hw
+        task = record.get("task")
+        parent = record.get("parent")
+        for block in (task, parent):
+            if block is not None:
+                packed = self._task_values(block)
+                if packed is None:
+                    return None
+                values += packed
+        # The vm id is interned last: intern order is part of the bytes.
+        values[2] = self._intern(vm)
         tag = (
             TYPE_CODES[type_value] << 3
             | (4 if hw is not None else 0)
             | (2 if task is not None else 0)
             | (1 if parent is not None else 0)
         )
-        parts = [
-            bytes((tag,)),
-            _COMMON.pack(t, vcpu, self._intern(vm)),
-            struct.pack(fmt, *payload_values),
-        ]
-        if hw is not None:
-            parts.append(_HW.pack(*hw))
-        if task_bytes:
-            parts.append(task_bytes)
-        if parent_bytes:
-            parts.append(parent_bytes)
-        return b"".join(parts)
+        return bytes((tag,)) + _layout(tag).record.pack(*values)
 
-    def _pack_task(self, task: Any) -> Optional[bytes]:
+    def _task_values(self, task: Any) -> Optional[List[int]]:
+        """One task annotation in packed order, or ``None`` when it does
+        not fit the layout."""
         if type(task) is not dict or task.keys() != _TASK_KEY_SET:
             return None
-        gva = task["task_struct_gva"]
-        pid = task["pid"]
-        uid = task["uid"]
-        euid = task["euid"]
-        flags = task["flags"]
-        parent_gva = task["parent_gva"]
+        values = [
+            task["task_struct_gva"], task["pid"], task["uid"], task["euid"],
+            task["flags"], task["parent_gva"],
+        ]
         comm = task["comm"]
         exe = task["exe"]
-        if not (
-            _is_u64(gva) and _is_u64(pid) and _is_u64(uid) and _is_u64(euid)
-            and _is_u64(flags) and _is_u64(parent_gva)
-            and type(comm) is str and type(exe) is str
-        ):
+        if not all(map(_is_u64, values)) or type(comm) is not str or type(exe) is not str:
             return None
-        return _TASK.pack(
-            gva, pid, uid, euid, flags, parent_gva,
-            self._intern(comm), self._intern(exe),
-        )
+        return values + [self._intern(comm), self._intern(exe)]
 
     # ------------------------------------------------------------------
     def write_record(self, record: Dict[str, Any]) -> None:
@@ -434,162 +394,120 @@ class BinaryTraceWriter:
 
 
 # ======================================================================
-# Lazy view events (zero-copy decode)
+# Lazy view events (the zero-copy counting pass)
 # ======================================================================
-def _view_class(cls, type_value: str):
-    """Build the lazy view subclass of ``cls`` for one fixed layout.
+def _view_class(cls):
+    """Build the lazy view subclass of event class ``cls``.
 
-    A view holds ``(buffer, offset, strings, blobs)`` and unpacks fields
-    on property access; ``to_record``/``payload``/``type`` are inherited
-    from the real event class and work through the properties.
+    A view holds only its record offset.  ``time_ns`` unpacks on access;
+    any other field decodes the whole record once, through the reader's
+    eager decoder, so a view reads exactly what replay reads.
+    ``to_record``/``payload``/``type`` are inherited and work through
+    the properties.  ``_b`` (buffer) and ``_reader`` are bound as
+    *class* attributes per reader (see :meth:`BinaryTraceReader._bind`),
+    so minting a view is a single instance-attribute store.
     """
-    fmt, fields = BTRACE_LAYOUTS[type_value]
-    payload_struct = struct.Struct(fmt)
-    payload_off = 15  # tag(1) + common(14)
-    hw_off = payload_off + payload_struct.size
 
-    namespace: Dict[str, Any] = {}
-
-    # ``_b`` (buffer), ``_s`` (string table) and ``_bl`` (blob table)
-    # are bound as *class* attributes by the reader (one subclass per
-    # reader, see BinaryTraceReader._bind), so constructing a view is a
-    # single instance-attribute store — the cheapest object the decode
-    # loop can mint.
     def __init__(self, off):  # noqa: N807
         self._o = off
 
-    namespace["__init__"] = __init__
-    namespace["time_ns"] = property(
-        lambda self: _U64.unpack_from(self._b, self._o + 1)[0]
-    )
-    namespace["vcpu_index"] = property(
-        lambda self: _U16AT9.unpack_from(self._b, self._o + 9)[0]
-    )
-    namespace["vm_id"] = property(
-        lambda self: self._s[_U32.unpack_from(self._b, self._o + 11)[0]]
-    )
+    def fields(self) -> Dict[str, Any]:
+        decoded = self.__dict__.get("_fields")
+        if decoded is None:
+            item = self._reader._decode_at(_layout(self._b[self._o]), self._o)
+            if type(item) is not tuple:
+                raise item
+            decoded = self.__dict__["_fields"] = vars(item[1])
+        return decoded
 
-    def _hw_state(self):
-        if not self._b[self._o] & 4:
-            return None
-        snap = object.__new__(GuestStateSnapshot)
-        snap.__dict__.update(
-            zip(_SNAPSHOT_FIELDS, _HW.unpack_from(self._b, self._o + hw_off))
-        )
-        return snap
+    namespace: Dict[str, Any] = {
+        "__init__": __init__,
+        "time_ns": property(lambda self: _U64.unpack_from(self._b, self._o + 1)[0]),
+    }
+    for name in cls.__dataclass_fields__:
+        if name != "time_ns":
+            namespace[name] = property(lambda self, _name=name: fields(self)[_name])
+    return type(f"BView_{cls.__name__}", (cls,), namespace)
 
-    _hw_state.__name__ = "hw_state"
-    namespace["hw_state"] = cached_property(_hw_state)
-    namespace["hw_state"].__set_name__(None, "hw_state")
-
-    # Record-key -> event-attribute renames the JSONL codec performs.
-    attr_names = {"nr": "number", "io_kind": "kind", "qual": "qualification"}
-    slot = 0
-    offset = payload_off
-    for name, kind in fields:
-        size = struct.calcsize(fmt[0] + fmt[1 + slot])
-        field_struct = struct.Struct("<" + fmt[1 + slot])
-        field_off = offset
-        attr = attr_names.get(name, name)
-        if kind == "u64":
-            def getter(self, _st=field_struct, _fo=field_off):
-                return _st.unpack_from(self._b, self._o + _fo)[0]
-            namespace[attr] = property(getter)
-        elif kind == "str":
-            if name == "reason":
-                def getter(self, _st=field_struct, _fo=field_off):
-                    return ExitReason(
-                        self._s[_st.unpack_from(self._b, self._o + _fo)[0]]
-                    )
-            else:
-                def getter(self, _st=field_struct, _fo=field_off):
-                    return self._s[_st.unpack_from(self._b, self._o + _fo)[0]]
-            namespace[attr] = property(getter)
-        elif kind == "json":
-            def getter(self, _st=field_struct, _fo=field_off):
-                return json.loads(
-                    self._s[_st.unpack_from(self._b, self._o + _fo)[0]]
-                )
-            getter.__name__ = attr
-            namespace[attr] = cached_property(getter)
-            namespace[attr].__set_name__(None, attr)
-        else:  # blob: packed u64 vector -> tuple
-            def getter(self, _st=field_struct, _fo=field_off):
-                raw = self._bl[_st.unpack_from(self._b, self._o + _fo)[0]]
-                return tuple(
-                    v[0] for v in _U64.iter_unpack(raw)
-                )
-            getter.__name__ = attr
-            namespace[attr] = cached_property(getter)
-            namespace[attr].__set_name__(None, attr)
-        offset += size
-        slot += 1
-
-    view = type(f"BView_{cls.__name__}", (cls,), namespace)
-    view._payload_struct = payload_struct
-    view._hw_off = hw_off
-    return view
-
-
-class LazyTaskInfo(DerivedTaskInfo):
-    """Zero-copy view of one packed task annotation block.
-
-    Like the event views, ``_b``/``_s`` are class attributes bound per
-    reader; instances carry only their offset.
-    """
-
-    def __init__(self, off):
-        self._o = off
-
-    task_struct_gva = property(
-        lambda self: _U64.unpack_from(self._b, self._o)[0]
-    )
-    pid = property(lambda self: _U64.unpack_from(self._b, self._o + 8)[0])
-    uid = property(lambda self: _U64.unpack_from(self._b, self._o + 16)[0])
-    euid = property(lambda self: _U64.unpack_from(self._b, self._o + 24)[0])
-    flags = property(lambda self: _U64.unpack_from(self._b, self._o + 32)[0])
-    parent_gva = property(
-        lambda self: _U64.unpack_from(self._b, self._o + 40)[0]
-    )
-    comm = property(
-        lambda self: self._s[_U32.unpack_from(self._b, self._o + 48)[0]]
-    )
-    exe = property(
-        lambda self: self._s[_U32.unpack_from(self._b, self._o + 52)[0]]
-    )
-
-    def to_record(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in _TASK_FIELDS}
-
-
-#: tag -> (view class, payload size, record size without task/parent,
-#: type value); None for unused tags.  256 entries so dispatch is one
-#: C-speed list index per record.
-_VIEW_DISPATCH: List[Optional[Tuple[Any, int, str]]] = [None] * 256
 
 _VIEW_CLASSES: Dict[str, Any] = {
-    "process_switch": _view_class(ProcessSwitchEvent, "process_switch"),
-    "thread_switch": _view_class(ThreadSwitchEvent, "thread_switch"),
-    "syscall": _view_class(SyscallEvent, "syscall"),
-    "io": _view_class(IOEvent, "io"),
-    "mem_access": _view_class(MemoryAccessEvent, "mem_access"),
-    "tss_integrity": _view_class(TssIntegrityAlert, "tss_integrity"),
-    "raw_exit": _view_class(RawExitEvent, "raw_exit"),
+    value: _view_class(EVENT_CLASSES[value]) for value in TYPE_CODES
 }
 
-for _value, _code in TYPE_CODES.items():
-    _cls = _VIEW_CLASSES[_value]
-    _payload_size = _cls._payload_struct.size
-    for _flags in range(8):
-        _size = 15 + _payload_size
-        if _flags & 4:
-            _size += _HW.size
-        if _flags & 2:
-            _size += _TASK.size
-        if _flags & 1:
-            _size += _TASK.size
-        _VIEW_DISPATCH[_code << 3 | _flags] = (_cls, _size, _value)
-del _value, _code, _cls, _payload_size, _flags, _size
+
+# ======================================================================
+# Precompiled per-tag decoders (eager decode)
+# ======================================================================
+class _Layout(NamedTuple):
+    """One fixed-layout tag, precompiled.
+
+    ``record`` unpacks everything after the tag byte — common prefix,
+    payload, hw, task, parent — in one call; the other fields say where
+    each part sits in the unpacked tuple.
+    """
+
+    value: str
+    cls: Any
+    record: struct.Struct
+    size: int  # whole record, tag byte included
+    keys: Tuple[str, ...]  # payload record keys, in layout order
+    kinds: Tuple[str, ...]  # their field kinds ("reason" for ExitReason)
+    payload: slice
+    hw: Optional[slice]
+    task: Optional[int]
+    parent: Optional[int]
+
+
+#: tag -> layout, filled by :func:`_layout` on a tag's first use (a
+#: trace uses a handful of the 56 tags); one list index per record.
+_LAYOUTS: List[Optional[_Layout]] = [None] * 256
+
+_TYPE_OF_CODE: Dict[int, str] = {code: value for value, code in TYPE_CODES.items()}
+
+
+def _layout(tag: int) -> Optional[_Layout]:
+    """The precompiled layout of ``tag``; ``None`` if no type uses it."""
+    layout = _LAYOUTS[tag]
+    value = _TYPE_OF_CODE.get(tag >> 3)
+    if layout is not None or value is None:
+        return layout
+    fmt, fields = BTRACE_LAYOUTS[value]
+    parts = "<QHI" + fmt[1:]
+    n = 3 + len(fields)
+    hw = task = parent = None
+    if tag & 4:
+        parts += _HW.format[1:]
+        hw = slice(n, n + 11)
+        n += 11
+    if tag & 2:
+        parts += _TASK.format[1:]
+        task = n
+        n += 8
+    if tag & 1:
+        parts += _TASK.format[1:]
+        parent = n
+    record = struct.Struct(parts)
+    layout = _LAYOUTS[tag] = _Layout(
+        value, EVENT_CLASSES[value], record, 1 + record.size,
+        tuple(name for name, _ in fields),
+        tuple("reason" if name == "reason" else kind for name, kind in fields),
+        slice(3, 3 + len(fields)),
+        hw, task, parent,
+    )
+    return layout
+
+
+class BadReferenceError(TraceFormatError):
+    """A record whose framing is intact but whose string or blob
+    reference does not resolve.  Unlike a cut in the stream, nothing is
+    lost after it: replay counts the record as rejected, and a consumer
+    of the record dicts stops at it."""
+
+
+#: What a reference that does not resolve raises while a record is
+#: decoded: an index past a table, a non-JSON or non-object string, an
+#: unknown exit reason, a ragged blob, or the payload codec's own check.
+_BAD_REFERENCE = (IndexError, ValueError, struct.error, TraceFormatError)
 
 
 # ======================================================================
@@ -600,9 +518,9 @@ class BinaryTraceReader:
 
     Iterating yields raw record dicts in file order (identical to what
     :class:`TraceReader` parses from the JSONL form of the same trace);
-    :meth:`events` and :meth:`iter_decoded` are the zero-copy fast
-    paths; :meth:`record_at` / :meth:`iter_range` use the record index
-    for O(1) seek and contiguous shard slicing.
+    :meth:`iter_decoded` is the eager replay decoder and :meth:`events`
+    the zero-copy counting pass; :meth:`record_at` / :meth:`iter_range`
+    use the record index for O(1) seek and contiguous shard slicing.
 
     A file without a valid trailer (truncated mid-write) raises
     :class:`TraceFormatError` at open — the interning tables live at
@@ -613,12 +531,14 @@ class BinaryTraceReader:
     """
 
     def __init__(self, path: Optional[str] = None, data: Optional[bytes] = None) -> None:
-        if (path is None) == (data is None):
-            raise TraceFormatError("pass exactly one of path or data")
+        """Map the file at ``path``, or read the image ``data`` (which
+        ``path``, when also given, then only names in messages)."""
+        if path is None and data is None:
+            raise TraceFormatError("pass a path or data")
         self.path = str(path) if path is not None else "<memory>"
         self._mm: Optional[mmap.mmap] = None
         self._file = None
-        if path is not None:
+        if data is None:
             self._file = open(path, "rb")
             try:
                 self._mm = mmap.mmap(
@@ -633,6 +553,13 @@ class BinaryTraceReader:
         self.footer: Optional[Dict[str, Any]] = None
         self.malformed_lines = 0
         self.records_read = 0
+        self._dispatch: Optional[List[Optional[Tuple[Any, int]]]] = None
+        # Decode caches, keyed by packed values (see _decode_at).
+        self._payloads: Dict[str, Dict[tuple, Dict[str, Any]]] = {
+            value: {} for value in TYPE_CODES
+        }
+        self._snapshots: Dict[tuple, GuestStateSnapshot] = {}
+        self._tasks: Dict[tuple, DerivedTaskInfo] = {}
         try:
             self._parse_container()
         except TraceFormatError:
@@ -680,8 +607,16 @@ class BinaryTraceReader:
             raise TraceFormatError(f"{self.path}: corrupt btrace trailer")
         self.record_count = count
         self._body_end = strings_off
-        self._strings = self._read_str_table(strings_off, blobs_off)
-        self._blobs = self._read_blob_table(blobs_off, tail_off)
+        try:
+            self._strings = [
+                raw.decode("utf-8")
+                for raw in self._read_table(strings_off, blobs_off, "string")
+            ]
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(
+                f"{self.path}: corrupt btrace string table: {exc}"
+            ) from exc
+        self._blobs = self._read_table(blobs_off, tail_off, "blob")
         self._index_off = index_off
         self._index: Optional[List[int]] = None
         if index_off + 8 * count > len(buf) - _TRAILER.size:
@@ -706,55 +641,36 @@ class BinaryTraceReader:
         footer = tail.get("footer")
         if isinstance(footer, dict):
             self.footer = footer
-        self._bind()
 
-    def _bind(self) -> None:
-        """Specialize the view classes to this reader.
+    def _bind(self) -> List[Optional[Tuple[Any, int]]]:
+        """Specialize the view classes to this reader: tag -> (view
+        class, record size), built on the first :meth:`events` call.
 
-        The buffer and interning tables become *class* attributes of
-        per-reader subclasses, so each decoded record costs one object
-        with a single instance attribute (its offset) instead of four.
+        The buffer and the reader become *class* attributes of
+        per-reader subclasses, so each view costs one object with a
+        single instance attribute (its offset).  Readers that never
+        mint views (every eager load) skip this, and with it the
+        reader <-> class reference cycle.
         """
-        shared = {"_b": self._buf, "_s": self._strings, "_bl": self._blobs}
-        bound: List[Optional[Tuple[Any, int, str]]] = [None] * 256
+        if self._dispatch is not None:
+            return self._dispatch
+        shared = {"_b": self._buf, "_reader": self}
+        bound: List[Optional[Tuple[Any, int]]] = [None] * 256
         cache: Dict[Any, Any] = {}
-        for tag, entry in enumerate(_VIEW_DISPATCH):
-            if entry is None:
+        for tag in range(256):
+            layout = _layout(tag)
+            if layout is None:
                 continue
-            cls, size, value = entry
-            sub = cache.get(cls)
+            view = _VIEW_CLASSES[layout.value]
+            sub = cache.get(view)
             if sub is None:
-                sub = type(cls.__name__, (cls,), dict(shared))
-                cache[cls] = sub
-            bound[tag] = (sub, size, value)
+                sub = cache[view] = type(view.__name__, (view,), dict(shared))
+            bound[tag] = (sub, layout.size)
         self._dispatch = bound
-        self._task_cls = type(
-            "LazyTaskInfo", (LazyTaskInfo,),
-            {"_b": self._buf, "_s": self._strings},
-        )
+        return bound
 
-    def _read_str_table(self, start: int, end: int) -> List[str]:
-        buf = self._buf
-        try:
-            (count,) = _LEN32.unpack_from(buf, start)
-            out: List[str] = []
-            pos = start + 4
-            for _ in range(count):
-                (n,) = _LEN32.unpack_from(buf, pos)
-                pos += 4
-                if pos + n > end:
-                    raise TraceFormatError(
-                        f"{self.path}: string table overruns its section"
-                    )
-                out.append(bytes(buf[pos : pos + n]).decode("utf-8"))
-                pos += n
-            return out
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise TraceFormatError(
-                f"{self.path}: corrupt btrace string table: {exc}"
-            ) from exc
-
-    def _read_blob_table(self, start: int, end: int) -> List[bytes]:
+    def _read_table(self, start: int, end: int, what: str) -> List[bytes]:
+        """The length-prefixed entries of one interning table."""
         buf = self._buf
         try:
             (count,) = _LEN32.unpack_from(buf, start)
@@ -765,14 +681,14 @@ class BinaryTraceReader:
                 pos += 4
                 if pos + n > end:
                     raise TraceFormatError(
-                        f"{self.path}: blob table overruns its section"
+                        f"{self.path}: {what} table overruns its section"
                     )
                 out.append(bytes(buf[pos : pos + n]))
                 pos += n
             return out
         except struct.error as exc:
             raise TraceFormatError(
-                f"{self.path}: corrupt btrace blob table: {exc}"
+                f"{self.path}: corrupt btrace {what} table: {exc}"
             ) from exc
 
     # ------------------------------------------------------------------
@@ -799,23 +715,38 @@ class BinaryTraceReader:
             records_read=records_read,
         )
 
-    # ------------------------------------------------------------------
-    def iter_decoded(self, start: int = 0, stop: Optional[int] = None):
-        """Yield ``(event, task, parent)`` zero-copy views per
-        fixed-layout event record; every other record — markers *and*
-        JSON-escaped events — yields ``(None, record_dict, None)`` with
-        the escape payload verbatim, so raw-record consumers round-trip
-        byte-losslessly (an escaped event re-encoded from its decoded
-        form would silently drop the non-canonical keys that forced the
-        escape in the first place).
+    def _bad_reference(self, layout: _Layout, pos: int, exc: Exception) -> BadReferenceError:
+        records_read = bisect_left(self.index, pos)
+        return BadReferenceError(
+            f"{self.path}: corrupt btrace stream after record "
+            f"{records_read}: bad {layout.value} record: {exc}",
+            records_read=records_read,
+        )
 
-        This is the ledger-gated hot path: fixed-layout records become
-        lazy views (no dict, no eager field decode), escapes fall back
-        to JSON.  Corruption raises with ``records_read`` context.
+    def _escape_at(self, pos: int, records_read: int) -> Tuple[Any, int]:
+        """The JSON escape record at ``pos`` and the offset after it."""
+        buf = self._buf
+        if pos + 5 > self._body_end:
+            raise self._corrupt("truncated escape record", records_read)
+        (n,) = _LEN32.unpack_from(buf, pos + 1)
+        if pos + 5 + n > self._body_end:
+            raise self._corrupt("escape record overruns the body", records_read)
+        try:
+            record = json.loads(bytes(buf[pos + 5 : pos + 5 + n]).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise self._corrupt(f"bad escape payload: {exc}", records_read)
+        return record, pos + 5 + n
+
+    # ------------------------------------------------------------------
+    def _frames(self, start: int = 0, stop: Optional[int] = None):
+        """Walk records ``[start, stop)``: yield ``(layout, offset)`` per
+        fixed-layout record and the parsed payload per JSON escape.
+
+        Framing damage (unknown tag, overrun, early end, bad escape)
+        raises with ``records_read`` context; field references are the
+        caller's to resolve.
         """
         buf = self._buf
-        dispatch = self._dispatch
-        task_cls = self._task_cls
         end = self._body_end
         pos = self._body_start if start == 0 else self._seek(start)
         remaining = (
@@ -823,74 +754,148 @@ class BinaryTraceReader:
             if stop is None
             else max(0, min(stop, self.record_count) - start)
         )
-        task_size = _TASK.size
         while remaining > 0 and pos < end:
             tag = buf[pos]
             if tag == _TAG_ESCAPE:
-                if pos + 5 > end:
-                    raise self._corrupt("truncated escape record")
-                (n,) = _LEN32.unpack_from(buf, pos + 1)
-                if pos + 5 + n > end:
-                    raise self._corrupt("escape record overruns the body")
-                try:
-                    record = json.loads(
-                        bytes(buf[pos + 5 : pos + 5 + n]).decode("utf-8")
-                    )
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise self._corrupt(f"bad escape payload: {exc}")
-                pos += 5 + n
+                record, pos = self._escape_at(pos, self.records_read)
                 self.records_read += 1
                 remaining -= 1
-                yield (None, record, None)
+                yield record
                 continue
-            entry = dispatch[tag]
-            if entry is None:
+            layout = _LAYOUTS[tag] or _layout(tag)
+            if layout is None:
                 raise self._corrupt(f"unknown record tag {tag:#04x}")
-            cls, size, _value = entry
-            if pos + size > end:
+            if pos + layout.size > end:
                 raise self._corrupt("record overruns the body")
-            event = cls(pos)
-            task = parent = None
-            if tag & 3:
-                toff = pos + size
-                if tag & 1:
-                    toff -= task_size
-                    parent = task_cls(toff)
-                if tag & 2:
-                    toff -= task_size
-                    task = task_cls(toff)
-            pos += size
+            at = pos
+            pos += layout.size
             self.records_read += 1
             remaining -= 1
-            yield (event, task, parent)
+            yield layout, at
         if remaining > 0 and pos >= end:
             raise self._corrupt("record region ended early")
 
-    def events(self, start: int = 0, stop: Optional[int] = None) -> Iterator[GuestEvent]:
-        """Lazy event views only (markers and malformed escapes skipped).
+    def _record(self, layout: _Layout, values: tuple) -> Dict[str, Any]:
+        """The record dict of one fixed-layout record, from its unpacked
+        ``values``, less its task annotations: table references
+        resolved, ``detail``/``qual`` parsed (they must be JSON objects),
+        the exit reason checked.  Raises one of :data:`_BAD_REFERENCE`
+        when a reference does not resolve."""
+        strings = self._strings
+        record: Dict[str, Any] = {
+            "t": values[0],
+            "vcpu": values[1],
+            "vm": strings[values[2]],
+            "type": layout.value,
+            "hw": None if layout.hw is None else list(values[layout.hw]),
+        }
+        for key, kind, value in zip(layout.keys, layout.kinds, values[3:]):
+            if kind == "u64":
+                record[key] = value
+            elif kind == "str":
+                record[key] = strings[value]
+            elif kind == "reason":
+                record[key] = ExitReason(strings[value]).value
+            elif kind == "json":
+                record[key] = json.loads(strings[value])
+                if type(record[key]) is not dict:
+                    raise ValueError(f"{key} is not a JSON object")
+            else:  # blob: a u64 vector
+                record[key] = [v for (v,) in _U64.iter_unpack(self._blobs[value])]
+        record["kind"] = KIND_EVENT
+        return record
+
+    def _snapshot(self, hw: tuple) -> GuestStateSnapshot:
+        """The hw snapshot of ``hw``; equal ones share one (frozen) object."""
+        snap = self._snapshots.get(hw)
+        if snap is None:
+            snap = self._snapshots[hw] = object.__new__(GuestStateSnapshot)
+            snap.__dict__.update(zip(_SNAPSHOT_FIELDS, hw))
+        return snap
+
+    def _task_info(self, values: tuple, i: Optional[int]) -> Optional[DerivedTaskInfo]:
+        """What task_from_record builds for the task block at
+        ``values[i:]``; equal blocks share one (frozen) object."""
+        if i is None:
+            return None
+        key = values[i : i + 8]
+        info = self._tasks.get(key)
+        if info is None:
+            gva, pid, uid, euid, flags, parent_gva, comm, exe = key
+            info = object.__new__(DerivedTaskInfo)
+            info.__dict__.update(zip(_TASK_FIELDS, (
+                gva, pid, uid, euid,
+                self._strings[comm], self._strings[exe], flags, parent_gva,
+            )))
+            self._tasks[key] = info
+        return info
+
+    def _decode_at(self, layout: _Layout, pos: int):
+        """Decode the fixed-layout record at ``pos`` into ``(t_ns, event,
+        task, parent)``, or the :class:`TraceFormatError` that replay
+        counts when one of its references does not resolve.
+
+        ``GuestEvent.from_record`` decodes the first record of each
+        distinct payload from its dict.  The records after it that
+        share the payload reuse that dict: only their payload goes
+        through the codec again (so no two events share a container),
+        and their common fields and frozen snapshot are set directly.
+        """
+        values = layout.record.unpack_from(self._buf, pos + 1)
+        try:
+            payloads = self._payloads[layout.value]
+            key = values[layout.payload]
+            record = payloads.get(key)
+            if record is None:
+                record = self._record(layout, values)
+                event = GuestEvent.from_record(record)
+                payloads[key] = record
+            else:
+                event = object.__new__(layout.cls)
+                fields = event.__dict__
+                fields["time_ns"] = values[0]
+                fields["vcpu_index"] = values[1]
+                fields["vm_id"] = self._strings[values[2]]
+                fields["hw_state"] = (
+                    None if layout.hw is None else self._snapshot(values[layout.hw])
+                )
+                fields.update(layout.cls._from_payload(record))
+            return (
+                values[0], event,
+                self._task_info(values, layout.task),
+                self._task_info(values, layout.parent),
+            )
+        except _BAD_REFERENCE as exc:
+            return self._bad_reference(layout, pos, exc)
+
+    def iter_decoded(self, start: int = 0, stop: Optional[int] = None):
+        """The replay decoder, eager: what :class:`ReplaySource` feeds.
+
+        A fixed-layout record becomes ``(t_ns, event, task, parent)`` —
+        the objects ``GuestEvent.from_record`` and ``task_from_record``
+        build from its dict, unpacked in one ``struct`` call; only the
+        first record of each distinct payload builds that dict (see
+        :meth:`_decode_at`).  A JSON escape yields its payload verbatim (a
+        record dict, for replay to decode).  A record whose references
+        do not resolve yields a :class:`TraceFormatError` carrying its
+        position, which replay counts as a ``decode`` rejection; framing
+        damage raises.
+        """
+        decode = self._decode_at
+        for frame in self._frames(start, stop):
+            yield decode(*frame) if type(frame) is tuple else frame
+
+    def events(self, start: int = 0) -> Iterator[GuestEvent]:
+        """Lazy event views from record ``start`` on (markers and
+        malformed escapes skipped).
 
         The ledger-gated counting/filtering pass: a dedicated tight
         loop that never materializes task annotations or record dicts —
         one view object per event, everything else deferred to
-        attribute access.
+        attribute access.  Replay decodes through :meth:`iter_decoded`.
         """
-        if stop is not None:
-            for event, record, _parent in self.iter_decoded(start, stop):
-                if event is not None:
-                    yield event
-                elif (
-                    isinstance(record, dict)
-                    and record.get("kind") == KIND_EVENT
-                ):
-                    from repro.replay.format import decode_event
-
-                    try:
-                        yield decode_event(record)[0]
-                    except TraceFormatError:
-                        continue
-            return
         buf = self._buf
-        dispatch = self._dispatch
+        dispatch = self._bind()
         end = self._body_end
         pos = self._body_start if start == 0 else self._seek(start)
         total = self.record_count - start
@@ -917,25 +922,7 @@ class BinaryTraceReader:
                         f"unknown record tag {buf[pos]:#04x}",
                         self.records_read + n,
                     )
-                if pos + 5 > end:
-                    raise self._corrupt(
-                        "truncated escape record", self.records_read + n
-                    )
-                (length,) = _LEN32.unpack_from(buf, pos + 1)
-                if pos + 5 + length > end:
-                    raise self._corrupt(
-                        "escape record overruns the body",
-                        self.records_read + n,
-                    )
-                try:
-                    record = json.loads(
-                        bytes(buf[pos + 5 : pos + 5 + length]).decode("utf-8")
-                    )
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise self._corrupt(
-                        f"bad escape payload: {exc}", self.records_read + n
-                    )
-                pos += 5 + length
+                record, pos = self._escape_at(pos, self.records_read + n)
                 n += 1
                 if isinstance(record, dict) and record.get("kind") == KIND_EVENT:
                     from repro.replay.format import decode_event
@@ -974,22 +961,28 @@ class BinaryTraceReader:
         return off
 
     # ------------------------------------------------------------------
-    def _record_to_dict(self, event, record, parent) -> Dict[str, Any]:
-        if event is None:
-            return record
-        out = event.to_record()
-        out["kind"] = KIND_EVENT
-        if record is not None:  # the task view, repurposed slot
-            out["task"] = record.to_record()
-        if parent is not None:
-            out["parent"] = parent.to_record()
-        return out
-
     def iter_range(self, start: int, stop: Optional[int] = None) -> Iterator[Dict[str, Any]]:
         """Raw record dicts for records ``[start, stop)`` — the shard
-        slicing primitive (workers get ``(path, start, stop)``)."""
-        for event, record, parent in self.iter_decoded(start, stop):
-            yield self._record_to_dict(event, record, parent)
+        slicing primitive (workers get ``(path, start, stop)``).
+
+        A record whose references do not resolve has no dict: it raises
+        with its position as ``records_read``.
+        """
+        buf = self._buf
+        for frame in self._frames(start, stop):
+            if type(frame) is not tuple:
+                yield frame
+                continue
+            layout, pos = frame
+            values = layout.record.unpack_from(buf, pos + 1)
+            try:
+                record = self._record(layout, values)
+                for name, i in (("task", layout.task), ("parent", layout.parent)):
+                    if i is not None:
+                        record[name] = dict(vars(self._task_info(values, i)))
+            except _BAD_REFERENCE as exc:
+                raise self._bad_reference(layout, pos, exc)
+            yield record
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         """Raw record dicts in file order — :class:`TraceReader` parity."""
@@ -1049,16 +1042,25 @@ def save_btrace(path: str, trace: Trace) -> None:
 
 
 def load_btrace(path: Optional[str] = None, data: Optional[bytes] = None) -> Trace:
-    """Read a whole btrace into the standard in-memory :class:`Trace`."""
+    """Read a whole btrace into the standard in-memory :class:`Trace`.
+
+    The body is decoded once, eagerly (:meth:`BinaryTraceReader.iter_decoded`),
+    into the items replay feeds; the record dicts are built from the
+    same bytes only if ``Trace.records`` is read.
+    """
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     reader = BinaryTraceReader(path, data=data)
     try:
-        records = list(reader)
+        body = list(reader.iter_decoded())
     finally:
         reader.close()
-    trace = Trace(header=reader.header, records=records)
-    if not trace.header.event_counts:
-        trace.recount()
-    return trace
+    return Trace(
+        header=reader.header,
+        body=body,
+        load_records=lambda: list(BinaryTraceReader(path, data=data)),
+    )
 
 
 def load_any_trace(path: str) -> Trace:
@@ -1173,13 +1175,13 @@ def count_shard(task: Tuple[str, int, int]) -> Dict[str, int]:
     path, lo, hi = task
     reader = cached_reader(path)
     counts: Dict[str, int] = {}
-    for event, record, _parent in reader.iter_decoded(lo, hi):
-        if event is not None:
-            key = event.type.value
-        elif isinstance(record, dict) and record.get("kind") == KIND_EVENT:
+    for frame in reader._frames(lo, hi):
+        if type(frame) is tuple:
+            key = frame[0].value
+        elif isinstance(frame, dict) and frame.get("kind") == KIND_EVENT:
             # JSON-escaped events still count toward their type: the
             # header tallies them, so shard sums must too.
-            key = str(record.get("type"))
+            key = str(frame.get("type"))
         else:
             continue
         counts[key] = counts.get(key, 0) + 1

@@ -22,7 +22,7 @@ on malformed input; replay treats that as a graceful, counted rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import GuestEvent
@@ -248,12 +248,41 @@ def decode_scan(record: Dict[str, Any]) -> Dict[str, Any]:
 # ======================================================================
 # Whole traces
 # ======================================================================
-@dataclass
 class Trace:
-    """An in-memory trace: header + raw body records (no header line)."""
+    """An in-memory trace: header + raw body records (no header line).
 
-    header: TraceHeader
-    records: List[Dict[str, Any]] = field(default_factory=list)
+    A binary load also hands over ``body``, already decoded into the
+    items replay feeds (see ``BinaryTraceReader.iter_decoded``), and
+    ``load_records``, which builds the record dicts from the same
+    container the first time :attr:`records` is read.  That read drops
+    the decoded body, so edits to ``records`` are what replay sees.
+    """
+
+    def __init__(
+        self,
+        header: TraceHeader,
+        records: Optional[List[Dict[str, Any]]] = None,
+        body: Optional[List[Any]] = None,
+        load_records: Optional[Callable[[], List[Dict[str, Any]]]] = None,
+    ) -> None:
+        self.header = header
+        self._records = [] if records is None and load_records is None else records
+        self._body = body
+        self._load_records = load_records
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        if self._records is None:
+            self._records = self._load_records()
+            self._load_records = None
+        self._body = None
+        return self._records
+
+    @property
+    def body(self) -> List[Any]:
+        """What replay feeds, in order: the decoded body when the loader
+        kept one, else the record dicts."""
+        return self.records if self._body is None else self._body
 
     def events(self) -> List[GuestEvent]:
         """Decode just the event records (strict: raises on malformed)."""

@@ -188,12 +188,12 @@ class _Scan(NamedTuple):
 class ReplaySource:
     """Drives recorded events through real auditors in virtual time.
 
-    Every entry point shares one per-record path: :meth:`_decode` turns
-    a raw record into a deliverable item (or counts a rejection) and
-    :meth:`_feed` hands the item to :meth:`_deliver` — at once, or
-    through the engine queue when a schedule perturbation is set.
-    :meth:`run` is :meth:`stream_begin`, one feed per record, then
-    :meth:`stream_end`.
+    Every entry point shares one per-record path: :meth:`_feed` takes a
+    pre-decoded item as is, or has :meth:`_decode` turn a raw record
+    into one (or count a rejection), and hands it to :meth:`_deliver` —
+    at once, or through the engine queue when a schedule perturbation is
+    set.  :meth:`run` is :meth:`stream_begin`, one feed per body item,
+    then :meth:`stream_end`.
     """
 
     def __init__(
@@ -273,21 +273,20 @@ class ReplaySource:
         A guest event becomes ``(t_ns, event, task, parent)`` and a scan
         marker ``(t_ns, scan)`` bound to its auditor.  A record that
         cannot be replayed is rejected with a pinned reason and yields
-        ``None``.
+        ``None``; so is the :class:`TraceFormatError` a binary decoder
+        leaves in place of a record it could not decode.
         """
         if type(record) is not dict:
-            self._reject("not-a-record")
+            if isinstance(record, TraceFormatError):
+                self._reject("decode")
+            else:
+                self._reject("not-a-record")
             return None
         kind = record.get("kind", KIND_EVENT)
         if kind == KIND_EVENT:
             try:
                 event = GuestEvent.from_record(record)
                 t_ns = event.time_ns
-                horizon = self._horizon_ns
-                if horizon is not None and t_ns > horizon:
-                    raise TraceFormatError(
-                        f"timestamp {t_ns} beyond trace horizon"
-                    )
                 task = record.get("task")
                 if task is not None:
                     task = task_from_record(task)
@@ -316,18 +315,23 @@ class ReplaySource:
         return None
 
     def _feed(self, record: Any) -> bool:
-        """Decode one record and deliver it.
+        """Decode one record (unless it is a decoded item) and deliver it.
 
-        Unperturbed, the clock advances to the record and it is
-        delivered now.  Perturbed, the delivery is scheduled through the
-        engine queue, where the policy decides its ordering, latency and
-        loss; :meth:`stream_end` drains the queue.
+        Both forms meet the horizon check here.  Unperturbed, the clock
+        advances to the record and it is delivered now.  Perturbed, the
+        delivery is scheduled through the engine queue, where the policy
+        decides its ordering, latency and loss; :meth:`stream_end`
+        drains the queue.
         """
         self._fed += 1
-        item = self._decode(record)
+        item = record if type(record) is tuple else self._decode(record)
         if item is None:
             return False
         t_ns = item[0]
+        horizon = self._horizon_ns
+        if horizon is not None and t_ns > horizon and type(item[1]) is not _Scan:
+            self._reject("decode")
+            return False
         if self.perturb is None:
             self._advance_to(t_ns)
             self._deliver(*item)
@@ -376,9 +380,14 @@ class ReplaySource:
 
     # ------------------------------------------------------------------
     def run(self) -> ReplayReport:
-        """Replay the whole trace: begin, feed every record, end."""
+        """Replay the whole trace: begin, feed every body item, end.
+
+        A delivery log keeps the records it schedules, so a collecting
+        run feeds the record dicts.
+        """
         self.stream_begin()
-        for record in self.trace.records:
+        trace = self.trace
+        for record in trace.records if self.delivery_log is not None else trace.body:
             self._feed(record)
         return self.stream_end()
 

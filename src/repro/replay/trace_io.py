@@ -16,6 +16,7 @@ reaches the end of the stream.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import zlib
 from typing import Any, Dict, Iterator, List, Optional
@@ -144,15 +145,19 @@ class TraceReader:
     as a complete trace.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, text: Optional[str] = None) -> None:
+        """Read the file at ``path``, or the JSONL ``text`` (which
+        ``path`` then only names in messages)."""
         self.path = str(path)
-        self._fh = _open(self.path, "r")
+        self._fh = _open(self.path, "r") if text is None else io.StringIO(text)
         self.footer: Optional[Dict[str, Any]] = None
         self.malformed_lines = 0
         #: Body records yielded so far (the in-band header is not one).
         self.records_read = 0
         try:
             first = self._fh.readline()
+            while text is not None and first and not first.strip():
+                first = self._fh.readline()  # piped text may lead with blank lines
         except _STREAM_ERRORS as exc:
             self._fh.close()
             raise TraceFormatError(
@@ -259,9 +264,9 @@ def save_trace(path: str, trace: Trace) -> None:
             fh.write("".join(batch))
 
 
-def load_trace(path: str) -> Trace:
+def load_trace(path: str, text: Optional[str] = None) -> Trace:
     """Read a whole trace into memory (header counts folded in)."""
-    reader = TraceReader(path)
+    reader = TraceReader(path, text=text)
     records: List[Dict[str, Any]] = list(reader)
     trace = Trace(header=reader.header, records=records)
     if not trace.header.event_counts:
@@ -272,57 +277,10 @@ def load_trace(path: str) -> Trace:
 def loads_trace(text: str) -> Trace:
     """Parse a JSONL string into a trace (inverse of :func:`dumps_trace`).
 
-    Line semantics match :class:`TraceReader` — malformed body lines
-    are skipped, footer counts fold into the header — but the text is
-    already in memory, so there is no byte stream left to break: only a
-    missing/invalid header raises.  This is what lets ``repro.obs``
-    accept a trace on stdin (``report -``).
+    Same line semantics as :class:`TraceReader`; this is what lets
+    ``repro.obs`` accept a trace on stdin (``report -``).
     """
-    lines = iter(text.splitlines())
-    header: Optional[TraceHeader] = None
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"<stream>: bad trace header line: {exc}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise TraceFormatError("<stream>: header record is not an object")
-        header = TraceHeader.from_record(record)
-        break
-    if header is None:
-        raise TraceFormatError("<stream>: empty trace input")
-    records: List[Dict[str, Any]] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(record, dict):
-            continue
-        kind = record.get("kind")
-        if kind == KIND_FOOTER:
-            counts = record.get("event_counts")
-            if isinstance(counts, dict) and not header.event_counts:
-                header.event_counts = {
-                    str(k): int(v) for k, v in counts.items()
-                }
-            end_ns = record.get("end_ns")
-            if isinstance(end_ns, int) and header.end_ns is None:
-                header.end_ns = end_ns
-            continue
-        if kind == KIND_HEADER:  # duplicated header: corrupt, skip
-            continue
-        records.append(record)
-    trace = Trace(header=header, records=records)
-    if not trace.header.event_counts:
-        trace.recount()
-    return trace
+    return load_trace("<stream>", text=text)
 
 
 def dumps_trace(trace: Trace) -> str:

@@ -6,8 +6,9 @@ weight on:
 * **lossless conversion** — JSONL -> btrace -> JSONL reproduces the
   original gzip payload byte for byte (header line carried verbatim,
   canonical record encoding preserved);
-* **decode equivalence** — the zero-copy lazy views decode to exactly
-  what the eager JSONL codec produces, record by record;
+* **decode equivalence** — the eager binary decoder builds exactly
+  the objects the dict codec builds, record by record, and replaying a
+  btrace equals replaying its records as dicts in every replay mode;
 * **random access** — the mmap-backed index agrees with sequential
   iteration at *every* record offset, so shard slicing can never skew
   a campaign;
@@ -21,14 +22,21 @@ weight on:
 
 from __future__ import annotations
 
+import copy
 import gzip
 import io
 import json
 import os
+import struct
+import subprocess
+import sys
 
 import pytest
 
 from repro.errors import TraceFormatError
+from repro.hw.exits import ExitReason
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import load_trace_observed
 from repro.replay.btrace import (
     BTRACE_LAYOUTS,
     MAGIC,
@@ -44,9 +52,11 @@ from repro.replay.btrace import (
     save_btrace,
     shard_ranges,
 )
+from repro.replay.format import Trace, TraceHeader, scan_marker
 from repro.replay.recorder import SCENARIOS, record_scenario
 from repro.replay.source import ReplaySource
 from repro.replay.trace_io import load_trace, save_trace
+from repro.sim.perturb import PerturbationConfig, SchedulePerturbation
 
 _encode = json.JSONEncoder(sort_keys=True).encode
 
@@ -111,8 +121,8 @@ class TestConversion:
 
 
 class TestDecodeEquivalence:
-    def test_views_match_eager_records(self, tmp_path, rootkit_run):
-        from repro.core.events import GuestEvent
+    def test_decoded_items_match_dict_decode(self, tmp_path, rootkit_run):
+        from repro.replay.format import decode_event
 
         path = str(tmp_path / "t.btr")
         save_btrace(path, rootkit_run.trace)
@@ -120,22 +130,20 @@ class TestDecodeEquivalence:
         try:
             for raw, decoded in zip(rootkit_run.trace.records, reader):
                 assert decoded == raw
-            reader2 = BinaryTraceReader(path)
-            try:
-                for raw, (event, _task, _parent) in zip(
-                    rootkit_run.trace.records, reader2.iter_decoded()
-                ):
-                    if event is None:
-                        continue
-                    eager = GuestEvent.from_record(raw)
-                    assert type(event).__mro__[1] is type(eager) or isinstance(
-                        event, type(eager)
-                    )
-                    assert event.to_record() == eager.to_record()
-            finally:
-                reader2.close()
+            items = list(reader.iter_decoded())
         finally:
             reader.close()
+        assert len(items) == len(rootkit_run.trace.records)
+        for raw, item in zip(rootkit_run.trace.records, items):
+            if type(item) is dict:  # a JSON escape comes back verbatim
+                assert item == raw
+                continue
+            t_ns, event, task, parent = item
+            eager = decode_event(raw)
+            assert t_ns == raw["t"]
+            assert type(event) is type(eager[0])
+            assert vars(event) == vars(eager[0])
+            assert (task, parent) == eager[1:]
 
     def test_events_iterator_counts_every_event(self, tmp_path, rootkit_run):
         path = str(tmp_path / "t.btr")
@@ -151,6 +159,20 @@ class TestDecodeEquivalence:
             if r.get("kind", "event") == "event"
         )
         assert n == expected
+
+    def test_views_read_what_replay_decodes(self, tmp_path, rootkit_run):
+        path = str(tmp_path / "t.btr")
+        save_btrace(path, rootkit_run.trace)
+        reader = BinaryTraceReader(path)
+        try:
+            views = list(reader.events())
+            items = [i for i in reader.iter_decoded() if type(i) is tuple]
+            assert len(views) == len(items)
+            for view, (_t, event, _task, _parent) in zip(views, items):
+                assert isinstance(view, type(event))
+                assert view.to_record() == event.to_record()
+        finally:
+            reader.close()
 
     def test_in_memory_data_reader(self, exploit_run):
         buf = io.BytesIO()
@@ -308,6 +330,236 @@ class TestReplayEquivalence:
         assert a.events_replayed == b.events_replayed
         # Deterministic exports must match byte for byte too.
         assert _encode(a.alerts) == _encode(b.alerts)
+
+
+def _with_escapes(run):
+    """The run's records plus JSON escapes: a scan marker, an event
+    with a negative int, one with an extra key, and an undecodable one."""
+    records = copy.deepcopy(run.trace.records)
+    events = [i for i, r in enumerate(records) if r.get("kind") == "event"]
+    syscall = next(i for i in events if records[i]["type"] == "syscall")
+    at = events[len(events) // 2]
+    auditor = SCENARIOS[run.trace.header.scenario].build_auditors()[0].name
+    records[syscall:syscall] = [{**records[syscall], "nr": -1}]
+    records[at:at] = [
+        scan_marker(records[at]["t"], auditor, "guest-ps", [1, 2]),
+        {**records[at], "surprise": "extra-key"},
+        {**records[at], "type": "NO_SUCH_TYPE"},
+    ]
+    return records
+
+
+def _replay_outcome(trace, scenario, mode):
+    """Everything one replay produces that must not depend on the
+    container the records came from."""
+    registry = MetricsRegistry()
+    spans = []
+    registry.set_span_sink(spans.append)
+    perturb = None
+    if mode.startswith("perturbed"):
+        perturb = SchedulePerturbation(
+            seed=5,
+            config=PerturbationConfig(
+                delay_probability=0.2, delay_ns_max=50_000,
+                drop_probability=0.05, max_drops=3,
+            ),
+        )
+    source = ReplaySource(
+        trace, SCENARIOS[scenario].build_auditors(), perturb=perturb,
+        collect_delivery=mode == "perturbed-log", metrics=registry,
+    )
+    if mode == "stream":
+        source.stream_begin()
+        for item in trace.body:
+            source.stream_feed(item)
+        report = source.stream_end()
+    else:
+        report = source.run()
+    snapshot = registry.snapshot()
+    return {
+        "verdicts": report.verdicts,
+        "counts": (
+            report.events_replayed, report.events_rejected, report.scans_run,
+            report.scan_errors, report.events_dropped, report.sim_span_ns,
+            report.container_failed, report.rhc_alarmed,
+        ),
+        "rejected": sorted(
+            (labels["reason"], value)
+            for name, labels, value in snapshot["counters"]
+            if name == "flow.rejected"
+        ),
+        "snapshot": snapshot,
+        "spans": spans,
+        "delivery_log": source.delivery_log,
+    }
+
+
+class TestBinaryReplayEquivalence:
+    """Replaying a .btr (decoded into events) equals replaying
+    the same records as an in-memory dict trace, in every mode."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, exploit_run, rootkit_run, tmp_path_factory):
+        out = {}
+        base = tmp_path_factory.mktemp("equivalence")
+        for name, run, records in (
+            ("rootkit", rootkit_run, rootkit_run.trace.records),
+            ("exploit", exploit_run, exploit_run.trace.records),
+            ("escapes", rootkit_run, _with_escapes(rootkit_run)),
+        ):
+            path = str(base / f"{name}.btr")
+            save_btrace(path, Trace(
+                header=copy.deepcopy(run.trace.header), records=records))
+            out[name] = (path, run.trace.header, records)
+        return out
+
+    @pytest.mark.parametrize(
+        "mode", ["batch", "stream", "perturbed", "perturbed-log"]
+    )
+    @pytest.mark.parametrize("name", ["rootkit", "exploit", "escapes"])
+    def test_btrace_replay_equals_dict_replay(self, cases, name, mode):
+        path, header, records = cases[name]
+        binary = load_btrace(path)
+        # JSON escapes (scan markers included) stay dicts; every other
+        # record arrives decoded.
+        kinds = [type(item) for item in binary.body]
+        assert kinds.count(dict) == {"rootkit": 1, "exploit": 0, "escapes": 5}[name]
+        assert kinds.count(tuple) == len(kinds) - kinds.count(dict)
+        in_memory = Trace(
+            header=copy.deepcopy(header), records=copy.deepcopy(records)
+        )
+        got = _replay_outcome(binary, header.scenario, mode)
+        want = _replay_outcome(in_memory, header.scenario, mode)
+        assert got == want
+        if name == "escapes":
+            assert dict(want["rejected"]) == {"decode": 1}
+            assert want["counts"][2] >= 1  # scans ran
+
+    @pytest.mark.parametrize("name", ["rootkit", "exploit", "escapes"])
+    def test_records_equal_the_converted_jsonl(self, cases, tmp_path, name):
+        path, _header, records = cases[name]
+        jsonl = str(tmp_path / "t.jsonl")
+        convert_trace(path, jsonl)
+        assert load_btrace(path).records == load_trace(jsonl).records
+        assert load_btrace(path).records == records
+
+
+#: A small trace with one fixed-layout record per field kind.  The
+#: task's ``comm`` is a string that parses as JSON but not as an object.
+_HW = list(range(11))
+_TASK = {
+    "task_struct_gva": 0x1000, "pid": 7, "uid": 0, "euid": 0,
+    "comm": "42", "exe": "/bin/sh", "flags": 0, "parent_gva": 0,
+}
+_FIXED = [
+    {"type": "process_switch", "new_pdba": 0x2000, "old_pdba": 0x3000},
+    {"type": "syscall", "nr": 1, "args": [1, 2], "mechanism": "sysenter",
+     "task": _TASK},
+    {"type": "io", "io_kind": "pio", "detail": {"port": 96}},
+    {"type": "mem_access", "gva": 1, "gpa": 2, "access": "w"},
+    {"type": "raw_exit", "reason": ExitReason.HLT.value, "qual": {}},
+]
+
+#: Where a hostile reference points: ``(case, record index, offset
+#: within the record, target)``; the target is a string-table entry or
+#: ``None`` for one past the end of the table it indexes.
+_PAYLOAD = 15  # tag(1) + t(8) + vcpu(2) + vm ref(4)
+_TASK_BLOCK = _PAYLOAD + struct.calcsize("<QII") + 8 * 11
+_HOSTILE = [
+    ("vm", 0, 11, None),
+    ("mechanism", 1, _PAYLOAD + 8, None),
+    ("args", 1, _PAYLOAD + 12, None),
+    ("comm", 1, _TASK_BLOCK + 48, None),
+    ("exe", 1, _TASK_BLOCK + 52, None),
+    ("io-kind", 2, _PAYLOAD, None),
+    ("detail-past-table", 2, _PAYLOAD + 4, None),
+    ("detail-not-json", 2, _PAYLOAD + 4, "vm0"),
+    ("detail-not-object", 2, _PAYLOAD + 4, "42"),
+    ("access", 3, _PAYLOAD + 16, None),
+    ("reason", 4, _PAYLOAD, "vm0"),
+    ("qual-not-json", 4, _PAYLOAD + 4, "/bin/sh"),
+]
+
+
+def _hostile_btrace(path, record, offset, target):
+    header = TraceHeader(vm_id="vm0", end_ns=10_000, scenario="exploit")
+    records = [
+        {"kind": "event", "t": 1000 * (i + 1), "vcpu": 0, "vm": "vm0",
+         "hw": _HW, **fields}
+        for i, fields in enumerate(_FIXED)
+    ]
+    buf = io.BytesIO()
+    writer = BinaryTraceWriter(None, header, _fh=buf)
+    for r in records:
+        writer.write_record(r)
+    writer.close()
+    assert writer.escapes == 0
+    data = bytearray(buf.getvalue())
+    reader = BinaryTraceReader(data=bytes(data))
+    strings = reader._strings
+    at = reader.index[record]
+    reader.close()
+    ref = strings.index(target) if target is not None else len(strings) + 5
+    struct.pack_into("<I", data, at + offset, ref)
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+class TestHostileReferences:
+    @pytest.mark.parametrize(
+        "record, offset, target", [case[1:] for case in _HOSTILE],
+        ids=[case[0] for case in _HOSTILE],
+    )
+    def test_bad_reference_is_a_counted_rejection(
+        self, tmp_path, record, offset, target
+    ):
+        path = str(tmp_path / "hostile.btr")
+        _hostile_btrace(path, record, offset, target)
+        registry = MetricsRegistry()
+        report = ReplaySource(load_btrace(path), [], metrics=registry).run()
+        assert report.events_rejected == 1
+        assert report.events_replayed == len(_FIXED) - 1
+        rejected = [
+            (labels, value) for name, labels, value
+            in registry.snapshot()["counters"] if name == "flow.rejected"
+        ]
+        assert rejected == [({"reason": "decode", "vm": "vm0"}, 1)]
+        # Consumers of the record dicts stop there, saying where.
+        for consume in (
+            lambda: convert_trace(path, str(tmp_path / "out.jsonl")),
+            lambda: load_trace_observed(path, MetricsRegistry()),
+            lambda: load_btrace(path).records,
+        ):
+            with pytest.raises(TraceFormatError) as err:
+                consume()
+            assert err.value.records_read == record
+            assert f"after record {record}" in str(err.value)
+
+    @pytest.mark.parametrize("target", [None, "vm0"], ids=["past-table", "not-json"])
+    def test_cli_reports_bad_reference_without_traceback(self, tmp_path, target):
+        path = str(tmp_path / "hostile.btr")
+        _hostile_btrace(path, 2, _PAYLOAD + 4, target)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", *args], capture_output=True,
+                text=True, env=env, timeout=120,
+            )
+
+        replay = cli("repro.replay", "replay", path)
+        assert replay.returncode == 0, replay.stderr
+        assert "(1 rejected" in replay.stdout
+        # The consumers of the record dicts exit 2 with one line.
+        for args in (
+            ("repro.obs", "report", path),
+            ("repro.replay", "convert", path, str(tmp_path / "o.jsonl")),
+        ):
+            out = cli(*args)
+            assert out.returncode == 2, out.stderr
+            assert out.stderr.startswith("error:")
+            assert "after record 2" in out.stderr
+            assert out.stderr.count("\n") == 1
 
 
 class TestLayoutRegistry:

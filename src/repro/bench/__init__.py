@@ -2,52 +2,51 @@
 
 ``python -m repro.bench`` runs the benchmark suite at a fixed scale and
 appends one ``BENCH_<n>.json`` entry to the ledger directory
-(``benchmarks/ledger`` by default).  Each entry records:
+(``benchmarks/ledger`` by default).  :data:`COLUMNS` is the whole
+contract: one row per ledger column names the measurement that
+produces it, its unit and good direction, its kind, and any absolute
+floor or ceiling.  :func:`collect`, :func:`compare_entries`,
+:func:`floor_problems` and the CLI summary all loop over that table, so
+adding a column means adding one row.
 
-* replay throughput (events/sec): the btrace decode hot path
-  (:mod:`repro.replay.btrace`) as the headline column, with the
-  gzip-JSONL interchange pipeline tracked alongside,
-* fault-campaign throughput (trials/sec, serial and parallel, plus the
-  measured speedup at the requested job count),
-* wall time per experiment figure (the :mod:`repro.experiments` grid),
-* service SLOs (:mod:`repro.serve`): sustained events/sec ingested and
-  p99 exit-to-verdict latency under a seeded burst,
-* hut differential throughput (:mod:`repro.testing.hut` fuzz
-  executions/sec through the real-stack + reference-model pair),
-* causal-tracing overhead (``trace_overhead_pct``: relative events/s
-  loss replaying with spans on vs off, ceiling-gated at 5%).
+The headline, ``replay_events_per_s``, is the user path trace file ->
+verdicts: every recorded scenario saved as btrace, loaded with
+``load_any_trace``, replayed through its auditors and checked against
+its live verdicts.  ``replay_pipeline_events_per_s`` is the same path
+from gzip-JSONL files.
 
-Entries are numbered, never overwritten, and comparable: ``--check``
-diffs the fresh measurements against the most recent existing entry and
-fails on any metric that regressed beyond a configurable threshold
-(20% by default).  Throughputs regress downward, wall times regress
-upward; the comparison knows which direction is bad for each metric.
-``--check`` additionally enforces the absolute floors in ``_FLOORS``
-(btrace decode ≥ 1M events/s, fan-out speedup ≥ 1.8x at two workers)
-and the ceilings in ``_CEILINGS`` (tracing overhead ≤ 5%) whenever the
-run's scale/jobs knobs make the bound meaningful — even on a baseline
-run with an empty ledger.
+Entries are numbered, never overwritten, and comparable.  ``--check``
+gates a fresh entry three ways:
 
-Every measured workload is deterministic (seeded grids through
-:mod:`repro.parallel`), so run-to-run metric noise is purely
-machine-load jitter — the threshold exists to absorb exactly that.
-Every wall-clock read goes through :mod:`repro.prof`, the one module
-the determinism rule lets touch the host clock: ``perf_counter`` for
-the throughput columns, ``wall_unix_time`` for the single provenance
-timestamp per entry, and ``profile_scope`` so ``--profile`` can render
-a per-stage breakdown of the suite itself.
+* absolute floors and ceilings hold whenever the run's scale/jobs make
+  them meaningful — even on a baseline run with an empty ledger;
+* a ``wall`` column may fall behind the best value of the last
+  :data:`HISTORY` entries that share the fresh entry's schema, scale
+  and jobs by at most the threshold (20% by default), so drift cannot
+  ratchet through the ledger one tolerated step at a time;
+* an ``exact`` column — a pure function of the virtual clocks — must
+  equal the latest such entry: any drift means behaviour changed.
+
+Every measured workload is seeded, so what varies between runs is host
+load.  Every wall column is timed through :func:`repro.prof.best_of`:
+best of the run's rounds, each read at reference host speed through a
+CPU probe run beside it.  All host-clock reads go through
+:mod:`repro.prof`, the one module the determinism rule lets touch the
+clock; ``profile_scope`` lets ``--profile`` break the suite down by
+measurement.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import os
 import platform
 import re
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import tempfile
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.prof import perf_counter, profile_scope, wall_unix_time
+from repro.prof import best_of, perf_counter, profile_scope, wall_unix_time
 
 #: Ledger entries: BENCH_0001.json, BENCH_0002.json, ...
 LEDGER_FILE_RE = re.compile(r"^BENCH_(\d{4,})\.json$")
@@ -57,7 +56,11 @@ DEFAULT_LEDGER_DIR = os.path.join("benchmarks", "ledger")
 #: Fractional change beyond which ``--check`` fails (0.20 = 20%).
 DEFAULT_THRESHOLD = 0.20
 
-SCHEMA_VERSION = 1
+#: ``--check`` gates ``wall`` columns against the best of this many
+#: most recent comparable entries.
+HISTORY = 3
+
+SCHEMA_VERSION = 2
 
 #: Figures timed by the standard run; ``--quick`` keeps only the first.
 #: fig4/fig5 are covered by the dedicated campaign measurement, so the
@@ -65,159 +68,71 @@ SCHEMA_VERSION = 1
 STANDARD_FIGURES: Tuple[str, ...] = ("table3", "ninjas", "fig7")
 
 
+class Knobs(NamedTuple):
+    """What one bench run was asked for; every measurement takes it."""
+
+    scale: float = 1.0
+    jobs: int = 1
+    rounds: int = 3
+    figures: Tuple[str, ...] = STANDARD_FIGURES
+
+
+class Diverged(RuntimeError):
+    """Measured work that did not reproduce its reference answer."""
+
+
+def _rate(count: float, seconds: float) -> float:
+    return count / seconds if seconds > 0 else 0.0
+
+
 # ======================================================================
-# Measurements
+# Measurements: each takes the run's Knobs and returns its detail dict
 # ======================================================================
-#: The btrace decode corpus: one recorded scenario tiled (with shifted
-#: timestamps) to roughly this many records at ``scale=1.0``.  Tiling a
-#: real trace keeps the event-type mix honest — a synthetic corpus of
-#: one cheap type would flatter the decoder.
-BTRACE_CORPUS_RECORDS = 200_000
-BTRACE_CORPUS_SCENARIO = "rootkit"
-
-
-def _btrace_corpus(scale: float, path: str) -> Dict[str, Any]:
-    """Record ``BTRACE_CORPUS_SCENARIO`` once, tile it to
-    ``scale * BTRACE_CORPUS_RECORDS`` records, write it to ``path`` as
-    btrace, and report corpus provenance."""
-    from repro.replay.btrace import BinaryTraceWriter
-    from repro.replay.recorder import record_scenario
-
-    run = record_scenario(BTRACE_CORPUS_SCENARIO, seed=0)
-    base = run.trace.records
-    target = max(len(base), int(round(BTRACE_CORPUS_RECORDS * scale)))
-    tiles = max(1, -(-target // len(base)))
-    span = max(r["t"] for r in base) + 1
-    writer = BinaryTraceWriter(path, run.trace.header)
-    for tile in range(tiles):
-        shift = tile * span
-        for record in base:
-            copy = dict(record)
-            copy["t"] = record["t"] + shift
-            writer.write_record(copy)
-    writer.close()
-    return {
-        "scenario": BTRACE_CORPUS_SCENARIO,
-        "records": writer.records_written,
-        "tiles": tiles,
-        "bytes": os.path.getsize(path),
-        "strings": writer.strings_interned,
-        "escapes": writer.escapes,
-    }
-
-
-def _time_btrace_decode(path: str, rounds: int) -> Tuple[int, float]:
-    """Best-of-``rounds`` full decode of the btrace corpus at ``path``,
-    touching ``time_ns`` on every event (a field the hot replay loop
-    cannot avoid reading), gc paused inside the timed region.
-
-    Returns ``(events_decoded, best_wall_seconds)``.
-    """
-    import gc
-
-    from repro.replay.btrace import BinaryTraceReader
-
-    best = float("inf")
-    events = 0
-    for _ in range(max(1, rounds)):
-        reader = BinaryTraceReader(path)
-        try:
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                n = 0
-                last_t = 0
-                t0 = perf_counter()
-                for event in reader.events():
-                    last_t = event.time_ns
-                    n += 1
-                wall = perf_counter() - t0
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        finally:
-            reader.close()
-        assert last_t >= 0  # keep the per-event read observable
-        events = n
-        best = min(best, wall)
-    return events, best
-
-
-def measure_replay(
-    rounds: int = 3,
-    scenarios: Optional[List[str]] = None,
-    scale: float = 1.0,
-) -> Dict[str, Any]:
-    """Replay throughput, measured on both trace formats.
-
-    The ledger column (``events_per_s`` here, ``replay_events_per_s``
-    in the entry) is the **btrace decode rate**: records/sec through
-    :class:`repro.replay.btrace.BinaryTraceReader` over a ~200k-record
-    tiled corpus, best of ``rounds``, touching ``time_ns`` per event.
-    This is the hot path replay, fuzz and shard workers actually sit
-    on, so it is what the ≥1M floor gates.
-
-    The gzip-JSONL *pipeline* rate (full :class:`ReplaySource` run with
-    live auditors per scenario) stays in the detail block: it is the
-    interchange-format number earlier ledger entries reported, and the
-    regression satellite tracks it separately.
-    """
-    import shutil
-    import tempfile
-
-    from repro.replay.recorder import SCENARIOS, record_scenario
+def _replay_files(files: List[Tuple[str, Any, str]]) -> int:
+    """Trace file -> verdicts for each ``(scenario, live verdicts,
+    path)``; returns the events replayed."""
+    from repro.replay.btrace import load_any_trace
+    from repro.replay.recorder import SCENARIOS
     from repro.replay.source import ReplaySource
 
-    # --- btrace decode hot path (the gated column) --------------------
-    tmp_dir = tempfile.mkdtemp(prefix="repro-bench-btrace-")
-    try:
-        corpus_path = os.path.join(tmp_dir, "corpus.btr")
-        corpus = _btrace_corpus(scale, corpus_path)
-        decoded, best_decode_wall = _time_btrace_decode(corpus_path, rounds)
-    finally:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-    decode_rate = decoded / best_decode_wall if best_decode_wall > 0 else 0.0
+    events = 0
+    for name, live_verdicts, path in files:
+        report = ReplaySource(
+            load_any_trace(path), SCENARIOS[name].build_auditors()
+        ).run()
+        if not report.matches_live(live_verdicts):
+            raise Diverged(f"replay of {path} diverged from the live verdicts")
+        events += report.events_replayed
+    return events
 
-    # --- gzip-JSONL pipeline (interchange format, detail only) --------
-    names = sorted(SCENARIOS) if scenarios is None else list(scenarios)
-    total_events = 0
-    total_best_wall = 0.0
-    per_scenario: Dict[str, Any] = {}
-    for name in names:
-        run = record_scenario(name, seed=0)
-        walls = []
-        reproduced = True
-        for _ in range(max(1, rounds)):
-            report = ReplaySource(
-                run.trace, SCENARIOS[name].build_auditors()
-            ).run()
-            walls.append(report.wall_seconds)
-            reproduced = reproduced and report.matches_live(run.live_verdicts)
-        best = min(walls)
-        total_events += report.events_replayed
-        total_best_wall += best
-        per_scenario[name] = {
-            "events": report.events_replayed,
-            "best_wall_s": best,
-            "events_per_s": report.events_replayed / best if best > 0 else 0.0,
-            "reproduced": reproduced,
-        }
-    pipeline_rate = (
-        total_events / total_best_wall if total_best_wall > 0 else 0.0
-    )
-    return {
-        "events_per_s": decode_rate,
-        "total_events": decoded,
-        "rounds": rounds,
-        "btrace": dict(
-            corpus, best_wall_s=best_decode_wall, events_per_s=decode_rate
-        ),
-        "pipeline": {
-            "events_per_s": pipeline_rate,
-            "total_events": total_events,
-            "scenarios": per_scenario,
-        },
-    }
+
+def measure_replay(knobs: Knobs = Knobs()) -> Dict[str, Any]:
+    """Trace file -> verdicts per format: every recorded scenario saved
+    once per format, then each round loads and replays all of them."""
+    from repro.replay.btrace import save_btrace
+    from repro.replay.recorder import SCENARIOS, record_scenario
+    from repro.replay.trace_io import save_trace
+
+    names = sorted(SCENARIOS)
+    runs = [(name, record_scenario(name, seed=0)) for name in names]
+    result: Dict[str, Any] = {"scenarios": names, "rounds": knobs.rounds}
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        for fmt, suffix, save in (
+            ("btrace", ".btr", save_btrace),
+            ("jsonl", ".jsonl.gz", save_trace),
+        ):
+            files = []
+            for name, run in runs:
+                path = os.path.join(tmp, name + suffix)
+                save(path, run.trace)
+                files.append((name, run.live_verdicts, path))
+            events, _raw, wall = best_of(
+                functools.partial(_replay_files, files), knobs.rounds
+            )
+            result[f"{fmt}_events"] = events
+            result[f"{fmt}_wall_s"] = wall
+            result[f"{fmt}_events_per_s"] = _rate(events, wall)
+    return result
 
 
 def _campaign_grid(scale: float):
@@ -253,17 +168,17 @@ def _lpt_makespan(costs: List[float], bins: int) -> float:
     return max(loads)
 
 
-def measure_campaign(
-    scale: float = 1.0, jobs: int = 1, rounds: int = 2
-) -> Dict[str, Any]:
+def measure_campaign(knobs: Knobs = Knobs()) -> Dict[str, Any]:
     """Time a fixed fault-injection grid serially and fanned out at
-    ``jobs`` workers, verify the runs produced identical results, and
-    report trials/sec both ways plus the fan-out speedup.
+    ``knobs.jobs`` workers, verify the runs produced identical results,
+    and report trials/sec both ways plus the fan-out speedup.
 
-    ``speedup`` is the **critical-path** speedup: serial wall divided
-    by (LPT makespan of per-chunk worker CPU seconds over ``jobs``
-    workers) + (measured parallel wall − total worker CPU, i.e. every
-    real dispatch/pickle/merge cost, floored at zero).  On a machine
+    The serial rate is probe-corrected, like every wall column.
+    ``speedup`` is the **critical-path** speedup: raw serial wall
+    divided by (LPT makespan of per-chunk worker CPU seconds over
+    ``jobs`` workers) + (measured parallel wall − total worker CPU,
+    i.e. every real dispatch/pickle/merge cost, floored at zero); the
+    parallel rate is trials over that same modeled wall.  On a machine
     with ``jobs`` free cores this equals the plain wall ratio; on a
     core-starved CI box the wall ratio measures the OS scheduler's
     timesharing, not the executor, while the critical path still moves
@@ -271,20 +186,17 @@ def measure_campaign(
     which is exactly what the ledger floor needs to gate.
 
     Both sides take the best of ``rounds`` (min serial wall; min
-    modeled critical-path wall), the same jitter discipline as the
-    replay column: transient machine load can only slow a round down,
-    so the minimum is the least-contaminated estimate of each.
+    modeled critical-path wall): transient machine load can only slow
+    a round down, so the minimum is the least-contaminated estimate.
     """
     from repro.faults.campaign import _trial_task
     from repro.parallel import parallel_map, warm_pool
 
-    grid = _campaign_grid(scale)
-    rounds = max(1, rounds)
-    serial_wall = float("inf")
-    for _ in range(rounds):
-        t0 = perf_counter()
-        serial = parallel_map(_trial_task, grid, jobs=1)
-        serial_wall = min(serial_wall, perf_counter() - t0)
+    grid = _campaign_grid(knobs.scale)
+    jobs, rounds = knobs.jobs, max(1, knobs.rounds)
+    serial, serial_wall, serial_corrected = best_of(
+        lambda: parallel_map(_trial_task, grid, jobs=1), rounds
+    )
 
     parallel_wall = serial_wall
     modeled_wall = serial_wall
@@ -327,6 +239,8 @@ def measure_campaign(
         else:
             est_cpu = list(best_stats.get("chunk_cpu_s", []))
         modeled_wall = _lpt_makespan(est_cpu, jobs) + overhead
+    if not identical:
+        raise Diverged("parallel campaign diverged from the serial run")
 
     trials = len(grid)
     return {
@@ -334,16 +248,15 @@ def measure_campaign(
         "jobs": jobs,
         "rounds": rounds,
         "serial_wall_s": serial_wall,
+        "serial_corrected_s": serial_corrected,
         "parallel_wall_s": parallel_wall,
         "critical_path_wall_s": modeled_wall,
         "fanout_overhead_s": overhead,
         "chunks": best_stats.get("chunks", 0),
         "chunk_cpu_s": est_cpu,
-        "trials_per_s_serial": trials / serial_wall if serial_wall > 0 else 0.0,
-        "trials_per_s_parallel": (
-            trials / modeled_wall if modeled_wall > 0 else 0.0
-        ),
-        "speedup": serial_wall / modeled_wall if modeled_wall > 0 else 0.0,
+        "trials_per_s_serial": _rate(trials, serial_corrected),
+        "trials_per_s_parallel": _rate(trials, modeled_wall),
+        "speedup": _rate(serial_wall, modeled_wall),
         "parallel_identical": identical,
     }
 
@@ -355,17 +268,10 @@ def measure_campaign(
 OBS_SCENARIOS: Tuple[str, ...] = ("exploit", "hang")
 
 
-def measure_obs(
-    scenarios: Tuple[str, ...] = OBS_SCENARIOS,
-) -> Dict[str, Any]:
-    """Virtual-clock observability columns (``repro.obs``).
-
-    Unlike every other measurement here these are **deterministic**:
-    exit rate per *simulated* second and mean exit-to-verdict latency
-    are pure functions of ``(scenario, seed)``, so ``--check`` compares
-    them exactly — any drift means pipeline behaviour changed, not that
-    the machine was busy.
-    """
+def measure_obs(knobs: Knobs = Knobs()) -> Dict[str, Any]:
+    """Virtual-clock observability columns (``repro.obs``): exit rate
+    per *simulated* second and mean exit-to-verdict latency, pure
+    functions of ``(scenario, seed)``."""
     from repro.obs.metrics import MetricsRegistry
     from repro.replay.recorder import record_scenario
     from repro.sim.clock import SECOND
@@ -373,22 +279,19 @@ def measure_obs(
     exit_rates: Dict[str, float] = {}
     verdict_means: Dict[str, float] = {}
     per_scenario: Dict[str, Any] = {}
-    for name in scenarios:
+    for name in OBS_SCENARIOS:
         run = record_scenario(name, seed=0)
         registry = MetricsRegistry.from_snapshot(run.metrics)
         exits = registry.total("exits")
-        end_ns = run.trace.header.end_ns or 0
-        sim_seconds = end_ns / SECOND
+        sim_seconds = (run.trace.header.end_ns or 0) / SECOND
         latency_count = 0
         latency_sum = 0
         for row_name, _labels, hist in registry.histogram_rows():
             if row_name == "latency.exit_to_verdict_ns":
                 latency_count += hist.count
                 latency_sum += hist.sum
-        exit_rates[name] = exits / sim_seconds if sim_seconds > 0 else 0.0
-        verdict_means[name] = (
-            latency_sum / latency_count if latency_count else 0.0
-        )
+        exit_rates[name] = _rate(exits, sim_seconds)
+        verdict_means[name] = _rate(latency_sum, latency_count)
         per_scenario[name] = {
             "exits": exits,
             "sim_seconds": sim_seconds,
@@ -407,137 +310,105 @@ SERVE_PROFILE = "spike"
 SERVE_SEED = 0
 
 
-def measure_serve(scale: float = 1.0) -> Dict[str, Any]:
+def measure_serve(knobs: Knobs = Knobs()) -> Dict[str, Any]:
     """Service-mode SLO columns (:mod:`repro.serve`).
 
     Runs a seeded spike-profile load plan through the same whole-stream
     task the socket service shards
     (:func:`repro.serve.pipeline.run_stream_spec`), socket-free — the
-    transport paces frame delivery but cannot move these numbers.  Two
-    columns enter the ledger:
-
-    * ``serve_sustained_events_per_s`` — wall-measured ingest rate,
-      thresholded like every other throughput;
-    * ``serve_p99_exit_to_verdict_ns`` — p99 exit-to-verdict latency
-      under the burst.  Like the ``obs_*`` columns this is a pure
-      function of the virtual clocks, so ``--check`` compares it
-      exactly: any drift means admission or pipeline behaviour changed.
+    transport paces frame delivery but cannot move these numbers: the
+    ingest rate, and the p99 exit-to-verdict latency under the burst
+    (virtual-clock, so exact).
     """
-    from repro.obs.metrics import Histogram, merge_snapshots
+    from repro.obs.metrics import MetricsRegistry
     from repro.serve.load import build_plan
     from repro.serve.pipeline import run_stream_spec
 
-    streams = max(2, int(round(4 * scale)))
+    streams = max(2, int(round(4 * knobs.scale)))
     plan = build_plan(SERVE_PROFILE, SERVE_SEED, streams)
-    t0 = perf_counter()
-    results = [run_stream_spec(spec) for spec in plan]
-    wall = perf_counter() - t0
+    results, _raw, wall = best_of(
+        lambda: [run_stream_spec(spec) for spec in plan], knobs.rounds
+    )
+    if any(r["payload"]["reproduced"] is False for r in results):
+        raise Diverged("a serve stream's verdicts diverged from its replay")
 
     offered = sum(r["payload"]["offered"] for r in results)
-    admitted = sum(r["payload"]["admitted"] for r in results)
     dropped: Dict[str, int] = {}
     for result in results:
         for reason, n in (result["payload"]["dropped"] or {}).items():
             dropped[reason] = dropped.get(reason, 0) + n
-
-    merged = merge_snapshots(r["snapshot"] for r in results)
-    latency = Histogram()
-    for name, _labels, hist in merged.histogram_rows():
-        if name != "serve.latency.exit_to_verdict_ns":
-            continue
-        latency.count += hist.count
-        latency.sum += hist.sum
-        if hist.min is not None:
-            latency.min = (
-                hist.min if latency.min is None else min(latency.min, hist.min)
-            )
-        if hist.max is not None:
-            latency.max = (
-                hist.max if latency.max is None else max(latency.max, hist.max)
-            )
-        for i, cell in enumerate(hist.buckets):
-            latency.buckets[i] += cell
-
+    name = "serve.latency.exit_to_verdict_ns"
+    latency = MetricsRegistry().merge({"histograms": [
+        (name, {}, data)
+        for result in results
+        for row, _labels, data in result["snapshot"].get("histograms", ())
+        if row == name
+    ]}).histogram(name)
     return {
         "profile": SERVE_PROFILE,
         "seed": SERVE_SEED,
         "streams": streams,
         "events": offered,
-        "admitted": admitted,
+        "admitted": sum(r["payload"]["admitted"] for r in results),
         "dropped": dropped,
         "wall_s": wall,
-        "sustained_events_per_s": offered / wall if wall > 0 else 0.0,
+        "sustained_events_per_s": _rate(offered, wall),
         "p50_exit_to_verdict_ns": latency.percentile(0.5),
         "p99_exit_to_verdict_ns": latency.percentile(0.99),
-        "reproduced": all(
-            r["payload"]["reproduced"] is not False for r in results
-        ),
     }
 
 
-def measure_figures(
-    figures: Tuple[str, ...] = STANDARD_FIGURES, scale: float = 1.0
-) -> Dict[str, float]:
-    """Wall seconds to regenerate each experiment figure at ``scale``."""
+def measure_figures(knobs: Knobs = Knobs()) -> Dict[str, Any]:
+    """Wall seconds to regenerate each experiment figure at the scale."""
     from repro.experiments.runners import run_experiment
 
-    walls: Dict[str, float] = {}
-    for name in figures:
-        t0 = perf_counter()
-        run_experiment(name, scale=scale)
-        walls[name] = perf_counter() - t0
-    return walls
+    return {"wall_s": {
+        name: best_of(lambda: run_experiment(name, scale=knobs.scale), knobs.rounds)[2]
+        for name in knobs.figures
+    }}
 
 
-def measure_hut(scale: float = 1.0, rounds: int = 3) -> Dict[str, Any]:
-    """Hut fuzz candidate throughput (executions/sec, wall-measured).
-
-    Runs one small fixed-seed clean campaign per target through the
-    full differential pair (real stack + reference model + oracle);
-    the resulting ``hut_execs_per_s`` column keeps the cost of one
-    fuzz execution visible — an emulation or oracle change that makes
-    candidates drastically slower shows up in ``--check``, not in the
-    nightly job's runtime.  Clean campaigns must stay silent; a finding
-    here is a correctness failure, reported in the detail block.
-
-    Best-of-``rounds`` (floored at 3), like every other wall column:
-    the campaigns are seeded, so each round repeats the identical
-    execution set and only machine-load jitter varies — a single
-    sub-second sweep otherwise swings past the ``--check`` threshold.
-    """
+def _fuzz_targets(budget: int) -> Dict[str, Any]:
     from repro.testing import FuzzConfig, fuzz
     from repro.testing.hut import TARGETS
 
-    budget = max(4, int(round(8 * scale)))
-    wall = float("inf")
-    per_target: Dict[str, Any] = {}
-    executions = 0
-    findings = 0
-    for _ in range(max(3, rounds)):
-        per_target = {}
-        executions = 0
-        findings = 0
-        t0 = perf_counter()
-        for target in TARGETS:
-            result = fuzz(
-                FuzzConfig(target=target, seed=2026, budget=budget)
-            )
-            executions += result.executions
-            findings += len(result.findings)
-            per_target[target] = {
-                "executions": result.executions,
-                "findings": len(result.findings),
-                "coverage_features": len(result.coverage),
-            }
-        wall = min(wall, perf_counter() - t0)
+    out = {}
+    for target in TARGETS:
+        # In this process: a worker pool's dispatch would swamp the cost
+        # of an execution, and the probes speak only for this process.
+        result = fuzz(FuzzConfig(target=target, seed=2026, budget=budget), jobs=1)
+        out[target] = {
+            "executions": result.executions,
+            "findings": len(result.findings),
+            "coverage_features": len(result.coverage),
+        }
+    return out
+
+
+def measure_hut(knobs: Knobs = Knobs()) -> Dict[str, Any]:
+    """Hut fuzz candidate throughput (executions/sec).
+
+    One small fixed-seed clean campaign per target through the full
+    differential pair (real stack + reference model + oracle), so an
+    emulation or oracle change that makes candidates drastically slower
+    shows up in ``--check``, not in the nightly job's runtime.  Clean
+    campaigns must stay silent: a finding here is a divergence.
+    """
+    budget = max(4, int(round(8 * knobs.scale)))
+    targets, _raw, wall = best_of(
+        functools.partial(_fuzz_targets, budget), knobs.rounds
+    )
+    if any(t["findings"] for t in targets.values()):
+        raise Diverged("hut fuzzing found bugs in the clean emulator")
+    executions = sum(t["executions"] for t in targets.values())
     return {
         "wall_s": wall,
         "executions": executions,
-        "execs_per_s": executions / wall if wall > 0 else 0.0,
+        "execs_per_s": _rate(executions, wall),
         "budget_per_target": budget,
-        "rounds": max(3, rounds),
-        "clean": findings == 0,
-        "targets": per_target,
+        "rounds": knobs.rounds,
+        "clean": True,
+        "targets": targets,
     }
 
 
@@ -549,98 +420,139 @@ TRACE_OVERHEAD_SCENARIO = "exploit"
 TRACE_OVERHEAD_REPS = 50
 
 
-def measure_trace_overhead(rounds: int = 3) -> Dict[str, Any]:
+def _replay_reps(trace, metrics) -> int:
+    from repro.replay.recorder import SCENARIOS
+    from repro.replay.source import ReplaySource
+
+    build = SCENARIOS[TRACE_OVERHEAD_SCENARIO].build_auditors
+    events = 0
+    for _rep in range(TRACE_OVERHEAD_REPS):
+        events += ReplaySource(trace, build(), metrics=metrics).run().events_replayed
+    return events
+
+
+def measure_trace_overhead(knobs: Knobs = Knobs()) -> Dict[str, Any]:
     """Cost of causal tracing: events/s with spans on vs off.
 
     Replays the same recorded trace ``TRACE_OVERHEAD_REPS`` times per
     timed region through identical fresh auditors, with
     ``MetricsRegistry(tracing=True)`` vs ``tracing=False``; the two
-    sides run interleaved within each round and each takes its
-    best-of-``rounds`` wall, so machine-load jitter hits both alike.
-    Each side holds ONE registry across every rep — the regime a
-    long-lived monitoring service runs in — so the column prices the
-    steady state (ring full, drops counted per publish), not the
-    one-time ring-fill transient of the first ``span_limit`` events.
-    The ledger column ``trace_overhead_pct`` is the relative events/s
-    loss with tracing on, gated by the ``--check`` ceiling (≤ 5%).
-
-    ``rounds`` is floored at 5 regardless of the suite-wide knob: this
-    column is a *ratio of two minima* over ~0.2 s regions, so it needs
-    more samples than the absolute throughput columns to keep one
-    scheduler hiccup on either side from swinging the quotient.
+    sides run interleaved within each round and each takes its best
+    round, so machine-load jitter hits both alike.  Each side holds ONE
+    registry across every rep — the regime a long-lived monitoring
+    service runs in — so the column prices the steady state (ring full,
+    drops counted per publish), not the one-time ring-fill transient.
     """
     from repro.obs.metrics import MetricsRegistry
-    from repro.replay.recorder import SCENARIOS, record_scenario
-    from repro.replay.source import ReplaySource
+    from repro.replay.recorder import record_scenario
 
-    rounds = max(5, rounds)
-    run = record_scenario(TRACE_OVERHEAD_SCENARIO, seed=0)
-    build = SCENARIOS[TRACE_OVERHEAD_SCENARIO].build_auditors
-    registries = {
-        tracing: MetricsRegistry(tracing=tracing)
-        for tracing in (True, False)
-    }
+    trace = record_scenario(TRACE_OVERHEAD_SCENARIO, seed=0).trace
+    registries = {tracing: MetricsRegistry(tracing=tracing) for tracing in (True, False)}
     walls = {True: float("inf"), False: float("inf")}
-    events_per_rep = 0
-    for _ in range(max(1, rounds)):
-        for tracing in (True, False):
-            metrics = registries[tracing]
-            t0 = perf_counter()
-            for _rep in range(TRACE_OVERHEAD_REPS):
-                report = ReplaySource(
-                    run.trace,
-                    build(),
-                    metrics=metrics,
-                ).run()
-            walls[tracing] = min(walls[tracing], perf_counter() - t0)
-            events_per_rep = report.events_replayed
-    events = events_per_rep * TRACE_OVERHEAD_REPS
-    rate_on = events / walls[True] if walls[True] > 0 else 0.0
-    rate_off = events / walls[False] if walls[False] > 0 else 0.0
-    overhead_pct = (
-        max(0.0, (rate_off - rate_on) / rate_off * 100.0)
-        if rate_off > 0
-        else 0.0
-    )
+    events = 0
+    for _ in range(max(1, knobs.rounds)):
+        for tracing, metrics in registries.items():
+            events, _raw, wall = best_of(functools.partial(_replay_reps, trace, metrics))
+            walls[tracing] = min(walls[tracing], wall)
+    rate_on = _rate(events, walls[True])
+    rate_off = _rate(events, walls[False])
     return {
         "scenario": TRACE_OVERHEAD_SCENARIO,
         "reps": TRACE_OVERHEAD_REPS,
-        "rounds": max(1, rounds),
+        "rounds": knobs.rounds,
         "events": events,
         "events_per_s_tracing_on": rate_on,
         "events_per_s_tracing_off": rate_off,
-        "overhead_pct": overhead_pct,
+        "overhead_pct": max(0.0, _rate(rate_off - rate_on, rate_off) * 100.0),
     }
 
 
-def measure_analysis(jobs: int = 1, rounds: int = 2) -> Dict[str, Any]:
-    """Wall seconds for a full ``repro.analysis`` sweep of this tree.
-
-    The flow rules made the analyzer interprocedural (call graph, CFGs,
-    taint summaries); this column keeps that cost visible so a rule
-    change that blows up the fixpoint shows up in ``--check`` instead
-    of in everyone's pre-commit latency.  Best-of-``rounds``, like the
-    throughput columns: a single multi-second sweep swings ~20% with
-    machine load, which is exactly the gate's threshold.
-    """
+def measure_analysis(knobs: Knobs = Knobs()) -> Dict[str, Any]:
+    """Wall seconds for a full ``repro.analysis`` sweep of this tree
+    (one worker), so a rule change that blows up the interprocedural
+    fixpoint shows up in ``--check``, not in pre-commit latency."""
     from repro.analysis.__main__ import default_root
     from repro.analysis.runner import run_analysis
 
     root = default_root()
-    wall = math.inf
-    report = None
-    for _ in range(max(1, int(rounds))):
-        t0 = perf_counter()
-        report = run_analysis(root, jobs=jobs)
-        wall = min(wall, perf_counter() - t0)
+    report, _raw, wall = best_of(lambda: run_analysis(root, jobs=1), knobs.rounds)
     return {
         "wall_s": wall,
         "files_scanned": report.files_scanned,
         "findings": len(report.findings),
         "rules": len(report.rules),
-        "jobs": jobs,
-        "rounds": max(1, int(rounds)),
+        "jobs": 1,
+        "rounds": knobs.rounds,
     }
+
+
+# ======================================================================
+# The column table
+# ======================================================================
+class Column(NamedTuple):
+    """One ledger column: where its value comes from and how it is gated.
+
+    ``kind`` is ``"wall"`` (host-timed: gated by the threshold against
+    the best recent value, in direction ``better``) or ``"exact"`` (a
+    pure function of the virtual clocks: must not move at all).  A wall
+    column with ``better=None`` has no relative gate — only its bound.
+    ``floor``/``ceiling`` apply at ``min_scale``/``min_jobs`` and up;
+    ``min_rounds`` is the fewest rounds its measurement takes.
+    """
+
+    name: str
+    measure: Callable[[Knobs], Dict[str, Any]]
+    key: str
+    unit: str
+    better: Optional[str] = None
+    kind: str = "wall"
+    floor: Optional[float] = None
+    ceiling: Optional[float] = None
+    min_scale: float = 0.5
+    min_jobs: int = 1
+    min_rounds: int = 1
+
+
+COLUMNS: Tuple[Column, ...] = (
+    # The headline, btrace file -> verdicts.  Floor: 60% of BENCH_0007's
+    # 81,518, which reverting btrace's direct decode (~2.5x here) breaks.
+    Column("replay_events_per_s", measure_replay, "btrace_events_per_s",
+           "events/s", "higher", floor=48_911.0, min_rounds=5),
+    Column("replay_pipeline_events_per_s", measure_replay, "jsonl_events_per_s",
+           "events/s", "higher"),
+    # Campaign rounds last about a second and are the noisiest here:
+    # the best of many, so the best is quiet.
+    Column("campaign_trials_per_s_serial", measure_campaign, "trials_per_s_serial",
+           "trials/s", "higher", min_rounds=10),
+    Column("campaign_trials_per_s_parallel", measure_campaign, "trials_per_s_parallel",
+           "trials/s", "higher"),
+    # Critical-path fan-out win at two workers: dispatch, chunking or
+    # merge overhead creeping back up breaks this before it breaks CI.
+    Column("parallel_speedup", measure_campaign, "speedup",
+           "x", "higher", floor=1.8, min_jobs=2),
+    Column("figure_wall_s", measure_figures, "wall_s", "s", "lower", min_rounds=3),
+    Column("obs_exit_rate_per_sim_s", measure_obs, "exit_rate_per_sim_s",
+           "exits/sim-s", kind="exact"),
+    Column("obs_exit_to_verdict_mean_ns", measure_obs, "exit_to_verdict_mean_ns",
+           "ns", kind="exact"),
+    # A quick-scale serve round is ~10 ms: the best of many is its signal.
+    Column("serve_sustained_events_per_s", measure_serve, "sustained_events_per_s",
+           "events/s", "higher", min_rounds=20),
+    Column("serve_p99_exit_to_verdict_ns", measure_serve, "p99_exit_to_verdict_ns",
+           "ns", kind="exact"),
+    Column("analysis_wall_s", measure_analysis, "wall_s", "s", "lower", min_rounds=3),
+    Column("hut_execs_per_s", measure_hut, "execs_per_s",
+           "execs/s", "higher", min_rounds=5),
+    # Causal tracing must stay effectively free on the replay hot path.
+    # A ratio of two minima over short regions: more rounds, and no
+    # relative gate (a percentage near zero has no meaningful drift).
+    Column("trace_overhead_pct", measure_trace_overhead, "overhead_pct",
+           "%", ceiling=5.0, min_rounds=10),
+)
+
+
+def _detail_key(column: Column) -> str:
+    return column.measure.__name__[len("measure_"):]
 
 
 def collect(
@@ -650,68 +562,28 @@ def collect(
     figures: Tuple[str, ...] = STANDARD_FIGURES,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
-    """Run every measurement and assemble one ledger entry (unwritten)."""
-
-    def say(msg: str) -> None:
+    """Run every measurement once and assemble one ledger entry
+    (unwritten).  Raises :class:`Diverged` when measured work did not
+    reproduce its reference answer."""
+    knobs = Knobs(scale, jobs, rounds, tuple(figures))
+    detail: Dict[str, Any] = {}
+    for column in COLUMNS:
+        name = _detail_key(column)
+        if name in detail:
+            continue
         if progress is not None:
-            progress(msg)
-
-    with profile_scope("bench"), profile_scope("replay"):
-        say("replay throughput ...")
-        replay = measure_replay(rounds=rounds, scale=scale)
-    with profile_scope("bench"), profile_scope("campaign"):
-        say("campaign throughput ...")
-        campaign = measure_campaign(scale=scale, jobs=jobs, rounds=rounds)
-    with profile_scope("bench"), profile_scope("obs"):
-        say("observability columns ...")
-        obs = measure_obs()
-    with profile_scope("bench"), profile_scope("serve"):
-        say("serve SLOs ...")
-        serve = measure_serve(scale=scale)
-    with profile_scope("bench"), profile_scope("figures"):
-        say(f"figures {', '.join(figures) or '(none)'} ...")
-        figure_walls = measure_figures(figures, scale=scale)
-    with profile_scope("bench"), profile_scope("hut"):
-        say("hut differential throughput ...")
-        hut = measure_hut(scale=scale, rounds=rounds)
-    with profile_scope("bench"), profile_scope("trace-overhead"):
-        say("trace overhead ...")
-        trace_overhead = measure_trace_overhead(rounds=rounds)
-    with profile_scope("bench"), profile_scope("analysis"):
-        say("static analysis wall ...")
-        analysis = measure_analysis()
+            progress(f"{name} ...")
+        least = max(c.min_rounds for c in COLUMNS if c.measure is column.measure)
+        with profile_scope("bench"), profile_scope(name):
+            detail[name] = column.measure(knobs._replace(rounds=max(rounds, least)))
     return {
         "schema": SCHEMA_VERSION,
         "written_at_unix": wall_unix_time(),
         "scale": scale,
         "jobs": jobs,
         "python": platform.python_version(),
-        "metrics": {
-            "replay_events_per_s": replay["events_per_s"],
-            "replay_pipeline_events_per_s": replay["pipeline"]["events_per_s"],
-            "campaign_trials_per_s_serial": campaign["trials_per_s_serial"],
-            "campaign_trials_per_s_parallel": campaign[
-                "trials_per_s_parallel"
-            ],
-            "parallel_speedup": campaign["speedup"],
-            "figure_wall_s": figure_walls,
-            "obs_exit_rate_per_sim_s": obs["exit_rate_per_sim_s"],
-            "obs_exit_to_verdict_mean_ns": obs["exit_to_verdict_mean_ns"],
-            "serve_sustained_events_per_s": serve["sustained_events_per_s"],
-            "serve_p99_exit_to_verdict_ns": serve["p99_exit_to_verdict_ns"],
-            "analysis_wall_s": analysis["wall_s"],
-            "hut_execs_per_s": hut["execs_per_s"],
-            "trace_overhead_pct": trace_overhead["overhead_pct"],
-        },
-        "detail": {
-            "replay": replay,
-            "campaign": campaign,
-            "obs": obs,
-            "serve": serve,
-            "analysis": analysis,
-            "hut": hut,
-            "trace_overhead": trace_overhead,
-        },
+        "metrics": {c.name: detail[_detail_key(c)][c.key] for c in COLUMNS},
+        "detail": detail,
     }
 
 
@@ -730,13 +602,15 @@ def ledger_entries(ledger_dir: str) -> List[Tuple[int, str]]:
     return sorted(found)
 
 
+def _load(path: str) -> Dict[str, Any]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def latest_entry(ledger_dir: str) -> Optional[Dict[str, Any]]:
     """The most recent ledger entry, or ``None`` on an empty ledger."""
     entries = ledger_entries(ledger_dir)
-    if not entries:
-        return None
-    with open(entries[-1][1], "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load(entries[-1][1]) if entries else None
 
 
 def write_entry(ledger_dir: str, entry: Dict[str, Any]) -> str:
@@ -752,106 +626,54 @@ def write_entry(ledger_dir: str, entry: Dict[str, Any]) -> str:
 
 
 # ======================================================================
-# Regression comparison
+# Gates
 # ======================================================================
-#: Scalar metrics where *lower* current values are regressions.
-_HIGHER_IS_BETTER = (
-    "replay_events_per_s",
-    "replay_pipeline_events_per_s",
-    "campaign_trials_per_s_serial",
-    "campaign_trials_per_s_parallel",
-    "parallel_speedup",
-    "serve_sustained_events_per_s",
-    "hut_execs_per_s",
-)
-
-#: Absolute floors gated by ``--check``, independent of any previous
-#: ledger entry: ``(metric, floor, min_scale, min_jobs)``.  A floor only
-#: applies at representative knobs — ``min_scale`` keeps the tiny grids
-#: unit tests run (scale 0.25) out of the gate, because at those sizes
-#: fixed costs dominate and the number measures the harness, not the
-#: code; ``min_jobs`` keeps single-worker runs from being asked to show
-#: a fan-out win.
-_FLOORS: Tuple[Tuple[str, float, float, int], ...] = (
-    # The btrace decode hot path: a record layout or view-class change
-    # that costs 10x shows up here, not in a nightly timeout.
-    ("replay_events_per_s", 1_000_000.0, 0.5, 1),
-    # Critical-path fan-out win at two workers: dispatch, chunking or
-    # merge overhead creeping back up breaks this before it breaks CI.
-    ("parallel_speedup", 1.8, 0.5, 2),
-)
-
-#: Absolute ceilings gated by ``--check``, same knob semantics as
-#: ``_FLOORS`` but failing when the value climbs *above* the bound.
-_CEILINGS: Tuple[Tuple[str, float, float, int], ...] = (
-    # Causal tracing must stay effectively free on the replay hot
-    # path: events/s with spans on may trail spans off by at most 5%.
-    ("trace_overhead_pct", 5.0, 0.5, 1),
-)
+#: Entries differing in any of these are not comparable.
+_KNOBS = ("schema", "scale", "jobs")
 
 
-def floor_problems(entry: Dict[str, Any]) -> List[str]:
-    """Floor/ceiling violations for a fresh entry; empty means all hold.
+def cells(name: str, value: Any) -> List[Tuple[str, Any]]:
+    """``(label, value)`` per cell of a column: a scalar is one cell, a
+    per-scenario or per-figure map is one cell per key."""
+    if isinstance(value, dict):
+        return [(f"{name}[{key}]", value[key]) for key in sorted(value)]
+    return [(name, value)]
 
-    Unlike :func:`compare_entries` this needs no previous entry — the
-    floors are absolute contracts from the ledger's history, so even a
-    baseline run on an empty ledger is gated.
-    """
-    problems: List[str] = []
-    scale = float(entry.get("scale") or 0.0)
-    jobs = int(entry.get("jobs") or 1)
-    metrics = entry.get("metrics", {})
-    for name, floor, min_scale, min_jobs in _FLOORS:
-        if scale < min_scale or jobs < min_jobs:
+
+def reference_entry(
+    ledger_dir: str, current: Dict[str, Any]
+) -> Optional[Dict[str, Any]]:
+    """What ``--check`` compares ``current`` against, from the last
+    :data:`HISTORY` ledger entries that share its schema, scale and
+    jobs: each wall column's best value among them (per key, for maps),
+    and each other column's latest.  ``None`` when there is none."""
+    history = [
+        entry
+        for entry in (_load(path) for _n, path in ledger_entries(ledger_dir))
+        if all(entry.get(knob) == current.get(knob) for knob in _KNOBS)
+    ][-HISTORY:]
+    if not history:
+        return None
+    metrics: Dict[str, Any] = {}
+    for column in COLUMNS:
+        values = [e["metrics"][column.name] for e in history
+                  if column.name in e.get("metrics", {})]
+        if not values:
             continue
-        value = metrics.get(name)
-        if value is None:
-            problems.append(
-                f"{name}: missing from entry (floor {floor:,.2f})"
-            )
-        elif value < floor:
-            problems.append(
-                f"{name}: {value:,.2f} below the absolute floor "
-                f"{floor:,.2f} (scale={scale}, jobs={jobs})"
-            )
-    for name, ceiling, min_scale, min_jobs in _CEILINGS:
-        if scale < min_scale or jobs < min_jobs:
+        if column.better is None:
+            metrics[column.name] = values[-1]
             continue
-        value = metrics.get(name)
-        if value is None:
-            problems.append(
-                f"{name}: missing from entry (ceiling {ceiling:,.2f})"
-            )
-        elif value > ceiling:
-            problems.append(
-                f"{name}: {value:,.2f} above the absolute ceiling "
-                f"{ceiling:,.2f} (scale={scale}, jobs={jobs})"
-            )
-    return problems
-
-#: Per-scenario metric maps that are pure functions of the virtual
-#: clock: ``--check`` compares them *exactly* (no threshold) because
-#: machine load cannot move them — only a behaviour change can.
-_DETERMINISTIC_METRIC_MAPS = (
-    "obs_exit_rate_per_sim_s",
-    "obs_exit_to_verdict_mean_ns",
-)
-
-#: Scalar metrics that are pure functions of the virtual clocks,
-#: compared exactly like the maps above.  Keys missing on either side
-#: are skipped so older entries stay comparable as columns are added.
-_DETERMINISTIC_SCALARS = ("serve_p99_exit_to_verdict_ns",)
-
-#: Scalar wall-clock metrics where *higher* current values are
-#: regressions (same direction as ``figure_wall_s``).  Skip-if-missing
-#: keeps pre-column ledger entries comparable.
-_WALL_SCALARS = ("analysis_wall_s",)
-
-
-def _relative_change(previous: float, current: float) -> float:
-    if previous <= 0:
-        return 0.0
-    return (current - previous) / previous
+        pick = max if column.better == "higher" else min
+        if isinstance(values[-1], dict):
+            metrics[column.name] = {
+                key: pick(v[key] for v in values if key in v)
+                for key in set().union(*values)
+            }
+        else:
+            metrics[column.name] = pick(values)
+    reference = {knob: current.get(knob) for knob in _KNOBS}
+    reference.update(entries=len(history), metrics=metrics)
+    return reference
 
 
 def compare_entries(
@@ -861,79 +683,90 @@ def compare_entries(
 ) -> List[str]:
     """Human-readable regression lines; empty means within threshold.
 
-    Entries measured at different scales or job counts are not
-    comparable — the mismatch itself is reported as a failure rather
-    than silently diffing apples against oranges.
+    Entries measured at different schemas, scales or job counts are
+    not comparable — the mismatch itself is reported as a failure
+    rather than silently diffing apples against oranges.  A column or
+    map key missing on either side is skipped, so entries written
+    before a column existed stay comparable.
     """
-    problems: List[str] = []
-    for knob in ("scale", "jobs"):
-        if previous.get(knob) != current.get(knob):
-            problems.append(
-                f"{knob} changed ({previous.get(knob)} -> "
-                f"{current.get(knob)}); entries are not comparable"
-            )
+    problems = [
+        f"{knob} changed ({previous.get(knob)} -> {current.get(knob)}); "
+        "entries are not comparable"
+        for knob in _KNOBS
+        if previous.get(knob) != current.get(knob)
+    ]
     if problems:
         return problems
-
     prev_m = previous.get("metrics", {})
     cur_m = current.get("metrics", {})
-    for name in _HIGHER_IS_BETTER:
-        if name not in prev_m or name not in cur_m:
+    for column in COLUMNS:
+        if column.name not in prev_m or column.name not in cur_m:
             continue
-        change = _relative_change(prev_m[name], cur_m[name])
-        if change < -threshold:
-            problems.append(
-                f"{name}: {prev_m[name]:,.1f} -> {cur_m[name]:,.1f} "
-                f"({change:+.1%}, threshold -{threshold:.0%})"
-            )
-    prev_walls = prev_m.get("figure_wall_s", {})
-    cur_walls = cur_m.get("figure_wall_s", {})
-    for figure in sorted(set(prev_walls) & set(cur_walls)):
-        change = _relative_change(prev_walls[figure], cur_walls[figure])
-        if change > threshold:
-            problems.append(
-                f"figure_wall_s[{figure}]: {prev_walls[figure]:.2f}s -> "
-                f"{cur_walls[figure]:.2f}s "
-                f"({change:+.1%}, threshold +{threshold:.0%})"
-            )
-    for name in _WALL_SCALARS:
-        if name not in prev_m or name not in cur_m:
-            continue
-        change = _relative_change(prev_m[name], cur_m[name])
-        if change > threshold:
-            problems.append(
-                f"{name}: {prev_m[name]:.2f}s -> {cur_m[name]:.2f}s "
-                f"({change:+.1%}, threshold +{threshold:.0%})"
-            )
-    for name in _DETERMINISTIC_METRIC_MAPS:
-        prev_map = prev_m.get(name)
-        cur_map = cur_m.get(name)
-        if not isinstance(prev_map, dict) or not isinstance(cur_map, dict):
-            continue
-        for scenario in sorted(set(prev_map) & set(cur_map)):
-            if prev_map[scenario] != cur_map[scenario]:
+        before = dict(cells(column.name, prev_m[column.name]))
+        after = dict(cells(column.name, cur_m[column.name]))
+        for label in sorted(before.keys() & after.keys()):
+            old, new = before[label], after[label]
+            if column.kind == "exact":
+                if old != new:
+                    problems.append(
+                        f"{label}: {old} -> {new} (deterministic metric "
+                        "drifted: pipeline behaviour changed)"
+                    )
+                continue
+            if column.better is None or not old > 0:
+                continue
+            change = (new - old) / old
+            if change < -threshold if column.better == "higher" else change > threshold:
                 problems.append(
-                    f"{name}[{scenario}]: {prev_map[scenario]:,.1f} -> "
-                    f"{cur_map[scenario]:,.1f} (deterministic metric "
-                    "drifted: pipeline behaviour changed)"
+                    f"{label}: {old:,.2f} -> {new:,.2f} {column.unit} "
+                    f"({change:+.1%}, threshold {threshold:.0%})"
                 )
-    for name in _DETERMINISTIC_SCALARS:
-        if name not in prev_m or name not in cur_m:
+    return problems
+
+
+def floor_problems(entry: Dict[str, Any]) -> List[str]:
+    """Floor/ceiling violations for a fresh entry; empty means all hold.
+
+    Unlike :func:`compare_entries` this needs no previous entry — the
+    bounds are absolute contracts, so even a baseline run on an empty
+    ledger is gated.  A bound applies only at representative knobs:
+    ``min_scale`` keeps the tiny grids unit tests run out of the gate
+    (fixed costs dominate there), ``min_jobs`` keeps single-worker runs
+    from being asked to show a fan-out win.
+    """
+    problems: List[str] = []
+    scale = float(entry.get("scale") or 0.0)
+    jobs = int(entry.get("jobs") or 1)
+    metrics = entry.get("metrics", {})
+    for column in COLUMNS:
+        is_floor = column.floor is not None
+        bound = column.floor if is_floor else column.ceiling
+        if bound is None or scale < column.min_scale or jobs < column.min_jobs:
             continue
-        if prev_m[name] != cur_m[name]:
+        word = "floor" if is_floor else "ceiling"
+        value = metrics.get(column.name)
+        if value is None:
+            problems.append(f"{column.name}: missing from entry ({word} {bound:,.2f})")
+        elif value < bound if is_floor else value > bound:
             problems.append(
-                f"{name}: {prev_m[name]} -> {cur_m[name]} "
-                "(deterministic metric drifted: pipeline behaviour changed)"
+                f"{column.name}: {value:,.2f} {'below' if is_floor else 'above'} "
+                f"the absolute {word} {bound:,.2f} (scale={scale}, jobs={jobs})"
             )
     return problems
 
 
 __all__ = [
+    "COLUMNS",
     "DEFAULT_LEDGER_DIR",
     "DEFAULT_THRESHOLD",
+    "HISTORY",
     "OBS_SCENARIOS",
     "SCHEMA_VERSION",
     "STANDARD_FIGURES",
+    "Column",
+    "Diverged",
+    "Knobs",
+    "cells",
     "collect",
     "compare_entries",
     "floor_problems",
@@ -942,9 +775,11 @@ __all__ = [
     "measure_analysis",
     "measure_campaign",
     "measure_figures",
+    "measure_hut",
     "measure_obs",
     "measure_replay",
     "measure_serve",
     "measure_trace_overhead",
+    "reference_entry",
     "write_entry",
 ]

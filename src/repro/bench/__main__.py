@@ -4,13 +4,15 @@ Typical uses::
 
     python -m repro.bench                  # standard run, new ledger entry
     python -m repro.bench --quick          # CI smoke: small fixed scale
-    python -m repro.bench --check          # also fail on regression vs
-                                           # the latest existing entry
+    python -m repro.bench --check          # also fail on a broken bound, or
+                                           # on regression vs the best of
+                                           # the recent comparable entries
     python -m repro.bench --no-write       # measure + compare only
     python -m repro.bench --profile        # per-stage wall breakdown +
                                            # collapsed-stack flamegraph
 
-Exit status: 0 on success, 1 when ``--check`` found a regression.
+Exit status: 0 on success, 1 when ``--check`` found a regression or a
+broken bound, or when measured work diverged from its reference answer.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ import sys
 from typing import List, Optional
 
 from repro.bench import (
+    COLUMNS,
     DEFAULT_LEDGER_DIR,
     DEFAULT_THRESHOLD,
     STANDARD_FIGURES,
+    Diverged,
+    cells,
     collect,
     compare_entries,
     floor_problems,
-    latest_entry,
+    reference_entry,
     write_entry,
 )
 from repro.parallel import job_count
@@ -41,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: half scale, 2 replay rounds, one figure",
+        help="CI smoke mode: half scale, 2 rounds, one figure",
     )
     parser.add_argument(
         "--scale",
@@ -59,7 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--rounds",
         type=int,
         default=None,
-        help="replay rounds per scenario (default 3; --quick implies 2)",
+        help=(
+            "timed rounds per measurement, best kept (default 3; --quick "
+            "implies 2; some columns need more and raise it)"
+        ),
     )
     parser.add_argument(
         "--figures",
@@ -78,7 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) on regression vs the latest ledger entry",
+        help=(
+            "fail (exit 1) on a broken floor/ceiling or on regression vs "
+            "the best of the recent comparable ledger entries"
+        ),
     )
     parser.add_argument(
         "--threshold",
@@ -131,57 +142,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             figures=figures,
             progress=lambda msg: print(f"  measuring {msg}"),
         )
+    except Diverged as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 1
     finally:
         if profiler is not None:
             profiler.uninstall()
 
-    metrics = entry["metrics"]
-    btrace = entry["detail"]["replay"]["btrace"]
-    print(
-        f"replay throughput:  {metrics['replay_events_per_s']:,.0f} events/s "
-        f"btrace decode ({btrace['records']:,} records), "
-        f"{metrics['replay_pipeline_events_per_s']:,.0f} events/s "
-        "gzip-JSONL pipeline"
-    )
-    print(
-        "campaign trials/s:  "
-        f"{metrics['campaign_trials_per_s_serial']:.2f} serial, "
-        f"{metrics['campaign_trials_per_s_parallel']:.2f} at {jobs} job(s) "
-        f"({metrics['parallel_speedup']:.2f}x critical-path)"
-    )
-    for figure, wall in sorted(metrics["figure_wall_s"].items()):
-        print(f"figure {figure}: {wall:.2f}s")
-    for scenario, rate in sorted(metrics["obs_exit_rate_per_sim_s"].items()):
-        mean_ns = metrics["obs_exit_to_verdict_mean_ns"][scenario]
-        print(
-            f"obs {scenario}: {rate:,.0f} exits/sim-s, "
-            f"exit->verdict mean {mean_ns:,.0f} ns"
-        )
-    serve_p99 = metrics["serve_p99_exit_to_verdict_ns"]
-    print(
-        "serve sustained:    "
-        f"{metrics['serve_sustained_events_per_s']:,.0f} events/s ingested, "
-        "burst p99 exit->verdict "
-        + (f"{serve_p99:,.0f} ns" if serve_p99 is not None else "n/a")
-    )
-    hut = entry["detail"]["hut"]
-    print(
-        f"hut differential:   {metrics['hut_execs_per_s']:,.1f} execs/s "
-        f"({hut['executions']} executions"
-        + ("" if hut["clean"] else ", FINDINGS ON CLEAN EMULATOR")
-        + ")"
-    )
-    print(
-        f"analysis sweep:     {metrics['analysis_wall_s']:.2f}s "
-        f"({entry['detail']['analysis']['files_scanned']} files, "
-        f"{entry['detail']['analysis']['rules']} rules)"
-    )
-    overhead = entry["detail"]["trace_overhead"]
-    print(
-        f"tracing overhead:   {metrics['trace_overhead_pct']:.2f}% "
-        f"({overhead['events_per_s_tracing_on']:,.0f} events/s on, "
-        f"{overhead['events_per_s_tracing_off']:,.0f} off)"
-    )
+    for column in COLUMNS:
+        for label, value in cells(column.name, entry["metrics"].get(column.name)):
+            shown = "n/a" if value is None else f"{value:,.2f}"
+            print(f"{label:<44} {shown:>16} {column.unit}")
     if profiler is not None:
         print("profile (wall breakdown):")
         for line in profiler.report_lines():
@@ -189,39 +160,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("profile (collapsed stacks):")
         for line in profiler.flamegraph_lines():
             print(f"  {line}")
-    if not entry["detail"]["campaign"]["parallel_identical"]:
-        print(
-            "ERROR: parallel campaign diverged from the serial run",
-            file=sys.stderr,
-        )
-        return 1
 
     status = 0
     if args.check:
-        # Absolute floors first: they hold even on an empty ledger.
-        floors = floor_problems(entry)
-        if floors:
-            print("check: FLOOR VIOLATION:")
-            for problem in floors:
+        # Absolute bounds first: they hold even on an empty ledger.
+        bounds = floor_problems(entry)
+        if bounds:
+            print("check: FLOOR/CEILING VIOLATION:")
+            for problem in bounds:
                 print(f"  - {problem}")
             status = 1
-        previous = latest_entry(args.ledger_dir)
-        if previous is None:
-            print(f"check: no prior entry in {args.ledger_dir}; baseline run")
+        reference = reference_entry(args.ledger_dir, entry)
+        if reference is None:
+            print(f"check: no comparable entry in {args.ledger_dir}; baseline run")
         else:
-            problems = compare_entries(
-                previous, entry, threshold=args.threshold
+            against = (
+                f"the best of the last {reference['entries']} comparable "
+                "ledger entries"
             )
+            problems = compare_entries(reference, entry, threshold=args.threshold)
             if problems:
-                print("check: REGRESSION vs previous ledger entry:")
+                print(f"check: REGRESSION vs {against}:")
                 for problem in problems:
                     print(f"  - {problem}")
                 status = 1
-            elif not floors:
-                print(
-                    "check: within "
-                    f"{args.threshold:.0%} of the previous entry"
-                )
+            else:
+                print(f"check: within {args.threshold:.0%} of {against}")
 
     if not args.no_write:
         path = write_entry(args.ledger_dir, entry)

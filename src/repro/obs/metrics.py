@@ -630,9 +630,10 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> MetricsRegistry:
     """Fold many snapshots into one registry, in the given order.
 
     This is the aggregation point behind ``run_campaign`` and
-    ``fuzz_many``: workers return per-trial snapshots, the parent merges
-    them by grid index, and the result is byte-identical to a serial
-    run at any ``REPRO_JOBS``.
+    ``repro.serve``: workers return per-trial or per-stream snapshots,
+    the parent merges them in a fixed order (grid index, stream id),
+    and the result is byte-identical to a serial run at any
+    ``REPRO_JOBS``.
     """
     registry = MetricsRegistry()
     for snapshot in snapshots:

@@ -31,9 +31,8 @@ pay on the ledger):
   changes, when a worker dies, or when :mod:`repro.parallel.shared`
   publishes new fork-inherited state;
 * **fork-time inheritance** — large read-only inputs travel to workers
-  as copy-on-write pages (primed via ``shared.prime`` / the btrace
-  reader cache), never as per-task pickles; tasks carry only small
-  descriptors like ``(path, index_range)``;
+  as copy-on-write pages (primed via ``shared.prime``), never as
+  per-task pickles; tasks carry only small descriptors;
 * **batched merges** — results come back one chunk at a time and merge
   into the pre-sized slot table per chunk, not per task.
 

@@ -7,9 +7,7 @@ the parent populated *before* the pool forked are inherited copy-on-
 write, free of serialization.  This registry is the disciplined way to
 use that:
 
-* the parent calls :func:`prime` (and, for btrace corpora, opens the
-  mmap-backed reader via ``repro.replay.btrace.cached_reader``) before
-  fanning out;
+* the parent calls :func:`prime` before fanning out;
 * workers call :func:`get` — after a fork they see the primed value
   through plain module-global inheritance, with zero pickling;
 * every :func:`prime` bumps :func:`generation`, and the executor

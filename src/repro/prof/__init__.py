@@ -7,10 +7,10 @@ for ``repro.prof`` enumerates every site where wall time can leak in —
 and the module's own API makes the two legitimate uses explicit:
 
 * **throughput/latency measurement** — :func:`perf_counter`,
-  :func:`process_time`, and the nestable :func:`profile_scope` timers
-  below.  These never feed a verdict or a deterministic export; they
-  produce the wall-side columns of the bench ledger and the
-  ``--profile`` breakdowns.
+  :func:`process_time`, the probe-corrected :func:`best_of`, and the
+  nestable :func:`profile_scope` timers below.  These never feed a
+  verdict or a deterministic export; they produce the wall-side
+  columns of the bench ledger and the ``--profile`` breakdowns.
 * **provenance stamps** — :func:`wall_unix_time`, used exactly once
   (the ledger's ``written_at_unix``) to say *when* an artifact was
   produced, never *what* it contains.
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "perf_counter",
     "process_time",
+    "best_of",
     "wall_unix_time",
     "Profiler",
     "profile_scope",
@@ -42,6 +43,67 @@ perf_counter = time.perf_counter
 
 #: CPU time for the parallel executor's per-chunk cost accounting.
 process_time = time.process_time
+
+
+T = TypeVar("T")
+
+#: The probe's wall time on an uncontended core of the reference host
+#: (an Intel Xeon vCPU): the fastest of 3000 probes.  A constant, so a
+#: corrected time keeps seconds as its unit.
+PROBE_REF_S = 3.96e-3
+
+
+class _Point:
+    def __init__(self, a: int, b: str) -> None:
+        self.a = a
+        self.b = b
+
+    def get(self) -> int:
+        return self.a
+
+
+def _probe() -> float:
+    """Run fixed pure-Python work once; its wall time in seconds.
+
+    Integer arithmetic, object and dict churn, string formatting and
+    splitting: host contention slows each by a different factor, and
+    measured code mixes all three.
+    """
+    t0 = perf_counter()
+    s = 0
+    for i in range(20000):
+        s += i * i % 7
+    index = {}
+    for i in range(1500):
+        point = _Point(i, "x%d" % (i & 63))
+        index[point.b] = {"a": point.get(), "b": [point.b, i]}
+    for i in range(3000):
+        s += len(("k=%d;v=%s" % (i, "abc")).split(";")[0])
+    return perf_counter() - t0
+
+
+def best_of(fn: Callable[[], T], rounds: int = 1) -> Tuple[T, float, float]:
+    """Run ``fn`` ``rounds`` times, each between probes.
+
+    Returns ``(last result, best raw wall, best corrected wall)``.  On a
+    shared host other tenants slow every instruction, in spells from
+    milliseconds to minutes; the probes beside each round slow with it,
+    so ``wall * PROBE_REF_S / mean(probe before, probe after)`` reads
+    the round at reference speed.  Each side takes the quickest of three
+    probes: one probe is short enough to land in a hiccup the round as a
+    whole does not see.  The best round is the one least hit by
+    whatever contention the probes did not cancel.
+    """
+    raw = corrected = float("inf")
+    for _ in range(max(1, rounds)):
+        before = min(_probe() for _ in range(3))
+        t0 = perf_counter()
+        result = fn()
+        wall = perf_counter() - t0
+        after = min(_probe() for _ in range(3))
+        raw = min(raw, wall)
+        corrected = min(corrected, wall * 2 * PROBE_REF_S / (before + after))
+    return result, raw, corrected
 
 
 def wall_unix_time() -> float:

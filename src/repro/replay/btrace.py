@@ -4,7 +4,7 @@ JSONL (:mod:`repro.replay.trace_io`) stays the *interchange* format —
 self-describing, greppable, crash-tail salvageable.  btrace is the
 *performance* format the ledger gates: the same records, struct-packed
 with per-event-type fixed layouts, an interned string/blob table, and a
-record index that makes seek and shard slicing O(1).
+per-record offset index.
 
 File layout (little-endian throughout)::
 
@@ -37,9 +37,8 @@ the objects ``GuestEvent.from_record`` and ``task_from_record`` build
 from its dict.  The codec decodes the first record of each distinct
 payload from that dict; the records that repeat the payload reuse it
 and set their own fields directly.  Full record dicts are built only
-for consumers that ask (``Trace.records``, ``convert``).  The lazy
-views of :meth:`BinaryTraceReader.events` remain the counting fast
-path.
+for consumers that ask (``Trace.records``, ``convert``), from the same
+decoded objects.
 
 The header line is stored *verbatim* (and the JSONL footer, when the
 source stream had one), so ``convert`` round-trips canonically-written
@@ -71,7 +70,6 @@ from repro.replay.format import (
     Trace,
     TraceHeader,
     event_to_record,
-    task_from_record,
 )
 
 #: First bytes of every btrace file.  Distinct from gzip (``\x1f\x8b``)
@@ -394,48 +392,6 @@ class BinaryTraceWriter:
 
 
 # ======================================================================
-# Lazy view events (the zero-copy counting pass)
-# ======================================================================
-def _view_class(cls):
-    """Build the lazy view subclass of event class ``cls``.
-
-    A view holds only its record offset.  ``time_ns`` unpacks on access;
-    any other field decodes the whole record once, through the reader's
-    eager decoder, so a view reads exactly what replay reads.
-    ``to_record``/``payload``/``type`` are inherited and work through
-    the properties.  ``_b`` (buffer) and ``_reader`` are bound as
-    *class* attributes per reader (see :meth:`BinaryTraceReader._bind`),
-    so minting a view is a single instance-attribute store.
-    """
-
-    def __init__(self, off):  # noqa: N807
-        self._o = off
-
-    def fields(self) -> Dict[str, Any]:
-        decoded = self.__dict__.get("_fields")
-        if decoded is None:
-            item = self._reader._decode_at(_layout(self._b[self._o]), self._o)
-            if type(item) is not tuple:
-                raise item
-            decoded = self.__dict__["_fields"] = vars(item[1])
-        return decoded
-
-    namespace: Dict[str, Any] = {
-        "__init__": __init__,
-        "time_ns": property(lambda self: _U64.unpack_from(self._b, self._o + 1)[0]),
-    }
-    for name in cls.__dataclass_fields__:
-        if name != "time_ns":
-            namespace[name] = property(lambda self, _name=name: fields(self)[_name])
-    return type(f"BView_{cls.__name__}", (cls,), namespace)
-
-
-_VIEW_CLASSES: Dict[str, Any] = {
-    value: _view_class(EVENT_CLASSES[value]) for value in TYPE_CODES
-}
-
-
-# ======================================================================
 # Precompiled per-tag decoders (eager decode)
 # ======================================================================
 class _Layout(NamedTuple):
@@ -518,9 +474,7 @@ class BinaryTraceReader:
 
     Iterating yields raw record dicts in file order (identical to what
     :class:`TraceReader` parses from the JSONL form of the same trace);
-    :meth:`iter_decoded` is the eager replay decoder and :meth:`events`
-    the zero-copy counting pass; :meth:`record_at` / :meth:`iter_range`
-    use the record index for O(1) seek and contiguous shard slicing.
+    :meth:`iter_decoded` is the eager replay decoder both are built on.
 
     A file without a valid trailer (truncated mid-write) raises
     :class:`TraceFormatError` at open — the interning tables live at
@@ -553,7 +507,6 @@ class BinaryTraceReader:
         self.footer: Optional[Dict[str, Any]] = None
         self.malformed_lines = 0
         self.records_read = 0
-        self._dispatch: Optional[List[Optional[Tuple[Any, int]]]] = None
         # Decode caches, keyed by packed values (see _decode_at).
         self._payloads: Dict[str, Dict[tuple, Dict[str, Any]]] = {
             value: {} for value in TYPE_CODES
@@ -642,33 +595,6 @@ class BinaryTraceReader:
         if isinstance(footer, dict):
             self.footer = footer
 
-    def _bind(self) -> List[Optional[Tuple[Any, int]]]:
-        """Specialize the view classes to this reader: tag -> (view
-        class, record size), built on the first :meth:`events` call.
-
-        The buffer and the reader become *class* attributes of
-        per-reader subclasses, so each view costs one object with a
-        single instance attribute (its offset).  Readers that never
-        mint views (every eager load) skip this, and with it the
-        reader <-> class reference cycle.
-        """
-        if self._dispatch is not None:
-            return self._dispatch
-        shared = {"_b": self._buf, "_reader": self}
-        bound: List[Optional[Tuple[Any, int]]] = [None] * 256
-        cache: Dict[Any, Any] = {}
-        for tag in range(256):
-            layout = _layout(tag)
-            if layout is None:
-                continue
-            view = _VIEW_CLASSES[layout.value]
-            sub = cache.get(view)
-            if sub is None:
-                sub = cache[view] = type(view.__name__, (view,), dict(shared))
-            bound[tag] = (sub, layout.size)
-        self._dispatch = bound
-        return bound
-
     def _read_table(self, start: int, end: int, what: str) -> List[bytes]:
         """The length-prefixed entries of one interning table."""
         buf = self._buf
@@ -706,13 +632,11 @@ class BinaryTraceReader:
             ]
         return self._index
 
-    def _corrupt(self, what: str, records_read: Optional[int] = None) -> TraceFormatError:
-        if records_read is None:
-            records_read = self.records_read
+    def _corrupt(self, what: str) -> TraceFormatError:
         return TraceFormatError(
             f"{self.path}: corrupt btrace stream after record "
-            f"{records_read}: {what}",
-            records_read=records_read,
+            f"{self.records_read}: {what}",
+            records_read=self.records_read,
         )
 
     def _bad_reference(self, layout: _Layout, pos: int, exc: Exception) -> BadReferenceError:
@@ -723,24 +647,24 @@ class BinaryTraceReader:
             records_read=records_read,
         )
 
-    def _escape_at(self, pos: int, records_read: int) -> Tuple[Any, int]:
+    def _escape_at(self, pos: int) -> Tuple[Any, int]:
         """The JSON escape record at ``pos`` and the offset after it."""
         buf = self._buf
         if pos + 5 > self._body_end:
-            raise self._corrupt("truncated escape record", records_read)
+            raise self._corrupt("truncated escape record")
         (n,) = _LEN32.unpack_from(buf, pos + 1)
         if pos + 5 + n > self._body_end:
-            raise self._corrupt("escape record overruns the body", records_read)
+            raise self._corrupt("escape record overruns the body")
         try:
             record = json.loads(bytes(buf[pos + 5 : pos + 5 + n]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise self._corrupt(f"bad escape payload: {exc}", records_read)
+            raise self._corrupt(f"bad escape payload: {exc}")
         return record, pos + 5 + n
 
     # ------------------------------------------------------------------
-    def _frames(self, start: int = 0, stop: Optional[int] = None):
-        """Walk records ``[start, stop)``: yield ``(layout, offset)`` per
-        fixed-layout record and the parsed payload per JSON escape.
+    def _frames(self):
+        """Walk the records: yield ``(layout, offset)`` per fixed-layout
+        record and the parsed payload per JSON escape.
 
         Framing damage (unknown tag, overrun, early end, bad escape)
         raises with ``records_read`` context; field references are the
@@ -748,16 +672,12 @@ class BinaryTraceReader:
         """
         buf = self._buf
         end = self._body_end
-        pos = self._body_start if start == 0 else self._seek(start)
-        remaining = (
-            self.record_count - start
-            if stop is None
-            else max(0, min(stop, self.record_count) - start)
-        )
+        pos = self._body_start
+        remaining = self.record_count
         while remaining > 0 and pos < end:
             tag = buf[pos]
             if tag == _TAG_ESCAPE:
-                record, pos = self._escape_at(pos, self.records_read)
+                record, pos = self._escape_at(pos)
                 self.records_read += 1
                 remaining -= 1
                 yield record
@@ -772,7 +692,7 @@ class BinaryTraceReader:
             self.records_read += 1
             remaining -= 1
             yield layout, at
-        if remaining > 0 and pos >= end:
+        if remaining > 0:
             raise self._corrupt("record region ended early")
 
     def _record(self, layout: _Layout, values: tuple) -> Dict[str, Any]:
@@ -868,7 +788,7 @@ class BinaryTraceReader:
         except _BAD_REFERENCE as exc:
             return self._bad_reference(layout, pos, exc)
 
-    def iter_decoded(self, start: int = 0, stop: Optional[int] = None):
+    def iter_decoded(self):
         """The replay decoder, eager: what :class:`ReplaySource` feeds.
 
         A fixed-layout record becomes ``(t_ns, event, task, parent)`` —
@@ -882,129 +802,27 @@ class BinaryTraceReader:
         damage raises.
         """
         decode = self._decode_at
-        for frame in self._frames(start, stop):
+        for frame in self._frames():
             yield decode(*frame) if type(frame) is tuple else frame
 
-    def events(self, start: int = 0) -> Iterator[GuestEvent]:
-        """Lazy event views from record ``start`` on (markers and
-        malformed escapes skipped).
-
-        The ledger-gated counting/filtering pass: a dedicated tight
-        loop that never materializes task annotations or record dicts —
-        one view object per event, everything else deferred to
-        attribute access.  Replay decodes through :meth:`iter_decoded`.
-        """
-        buf = self._buf
-        dispatch = self._bind()
-        end = self._body_end
-        pos = self._body_start if start == 0 else self._seek(start)
-        total = self.record_count - start
-        n = 0
-        try:
-            while pos < end:
-                entry = dispatch[buf[pos]]
-                if entry is not None:
-                    npos = pos + entry[1]
-                    if npos > end:
-                        raise self._corrupt(
-                            "record overruns the body", self.records_read + n
-                        )
-                    # Count before yielding: a consumer that stops early
-                    # has still been handed this record, and
-                    # ``records_read`` is its error-context anchor.
-                    at = pos
-                    pos = npos
-                    n += 1
-                    yield entry[0](at)
-                    continue
-                if buf[pos] != _TAG_ESCAPE:
-                    raise self._corrupt(
-                        f"unknown record tag {buf[pos]:#04x}",
-                        self.records_read + n,
-                    )
-                record, pos = self._escape_at(pos, self.records_read + n)
-                n += 1
-                if isinstance(record, dict) and record.get("kind") == KIND_EVENT:
-                    from repro.replay.format import decode_event
-
-                    try:
-                        decoded = decode_event(record)
-                    except TraceFormatError:
-                        continue
-                    yield decoded[0]
-            if n != total:
-                raise self._corrupt(
-                    "record count mismatch in body "
-                    f"(expected {total}, decoded {n})",
-                    self.records_read + n,
-                )
-        finally:
-            self.records_read += n
-
-    def _seek(self, record_number: int) -> int:
-        if not 0 <= record_number <= self.record_count:
-            raise TraceFormatError(
-                f"{self.path}: record {record_number} out of range "
-                f"(trace has {self.record_count})"
-            )
-        if record_number == 0:
-            return self._body_start
-        if record_number == self.record_count:
-            return self._body_end
-        (off,) = _U64.unpack_from(
-            self._buf, self._index_off + 8 * record_number
-        )
-        if not self._body_start <= off < self._body_end:
-            raise TraceFormatError(
-                f"{self.path}: corrupt index entry for record {record_number}"
-            )
-        return off
-
-    # ------------------------------------------------------------------
-    def iter_range(self, start: int, stop: Optional[int] = None) -> Iterator[Dict[str, Any]]:
-        """Raw record dicts for records ``[start, stop)`` — the shard
-        slicing primitive (workers get ``(path, start, stop)``).
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        """Raw record dicts in file order — :class:`TraceReader` parity —
+        rebuilt from what :meth:`iter_decoded` yields.
 
         A record whose references do not resolve has no dict: it raises
         with its position as ``records_read``.
         """
-        buf = self._buf
-        for frame in self._frames(start, stop):
-            if type(frame) is not tuple:
-                yield frame
-                continue
-            layout, pos = frame
-            values = layout.record.unpack_from(buf, pos + 1)
-            try:
-                record = self._record(layout, values)
-                for name, i in (("task", layout.task), ("parent", layout.parent)):
-                    if i is not None:
-                        record[name] = dict(vars(self._task_info(values, i)))
-            except _BAD_REFERENCE as exc:
-                raise self._bad_reference(layout, pos, exc)
-            yield record
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        """Raw record dicts in file order — :class:`TraceReader` parity."""
-        yield from self.iter_range(0, None)
-
-    def record_at(self, record_number: int) -> Dict[str, Any]:
-        """O(1) single-record fetch through the index."""
-        for record in self.iter_range(record_number, record_number + 1):
-            return record
-        raise TraceFormatError(
-            f"{self.path}: record {record_number} out of range "
-            f"(trace has {self.record_count})"
-        )
+        for item in self.iter_decoded():
+            if type(item) is tuple:
+                item = event_to_record(*item[1:])
+            elif isinstance(item, TraceFormatError):
+                raise item
+            yield item
 
     def close(self) -> None:
         if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:  # live views still reference the map
-                pass
-            else:
-                self._mm = None
+            self._mm.close()
+            self._mm = None
         if self._file is not None:
             self._file.close()
             self._file = None
@@ -1134,55 +952,3 @@ def convert_trace(src: str, dst: str, to: Optional[str] = None) -> Dict[str, Any
     finally:
         reader.close()
     return {"records": records, "escapes": 0, "format": "jsonl", "strings": 0}
-
-
-# ======================================================================
-# Shard descriptors: (path, index-range) tasks for repro.parallel
-# ======================================================================
-def shard_ranges(record_count: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous, balanced ``[start, stop)`` ranges covering the trace."""
-    shards = max(1, int(shards))
-    if record_count <= 0:
-        return [(0, 0)]
-    size = -(-record_count // shards)
-    return [
-        (start, min(start + size, record_count))
-        for start in range(0, record_count, size)
-    ]
-
-
-#: Per-worker-process reader cache: shard tasks carry ``(path, lo, hi)``
-#: descriptors instead of pickled record chunks, and the mmap'd reader
-#: (with its interning tables) is opened once per process — inherited
-#: read-only state, never re-pickled per task.
-_READER_CACHE: Dict[str, BinaryTraceReader] = {}
-
-
-def cached_reader(path: str) -> BinaryTraceReader:
-    reader = _READER_CACHE.get(path)
-    if reader is None:
-        reader = BinaryTraceReader(path)
-        _READER_CACHE[path] = reader
-    return reader
-
-
-def count_shard(task: Tuple[str, int, int]) -> Dict[str, int]:
-    """Picklable shard task: per-type event counts over one index range.
-
-    The equivalence tests use it to prove shard fan-out composes to the
-    sequential answer at any job count.
-    """
-    path, lo, hi = task
-    reader = cached_reader(path)
-    counts: Dict[str, int] = {}
-    for frame in reader._frames(lo, hi):
-        if type(frame) is tuple:
-            key = frame[0].value
-        elif isinstance(frame, dict) and frame.get("kind") == KIND_EVENT:
-            # JSON-escaped events still count toward their type: the
-            # header tallies them, so shard sums must too.
-            key = str(frame.get("type"))
-        else:
-            continue
-        counts[key] = counts.get(key, 0) + 1
-    return counts

@@ -35,7 +35,7 @@ Everything is seeded through :class:`repro.sim.rng.RandomStreams`, so a
 from repro.testing.coverage import CoverageAuditor, CoverageMap
 from repro.testing.fuzzer import FuzzConfig, FuzzResult, fuzz
 from repro.testing.oracle import Discrepancy, DifferentialOracle, finding_key
-from repro.testing.shrink import ddmin, shrink_trace
+from repro.testing.shrink import ddmin
 
 __all__ = [
     "CoverageAuditor",
@@ -47,5 +47,4 @@ __all__ = [
     "ddmin",
     "finding_key",
     "fuzz",
-    "shrink_trace",
 ]

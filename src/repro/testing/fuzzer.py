@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TraceFormatError
 from repro.obs.metrics import MetricsRegistry
@@ -198,17 +198,6 @@ def fuzz(config: FuzzConfig, jobs: Optional[int] = None) -> FuzzResult:
         registry.counter("fuzz.findings", target=target, kind=kind).value = count
     result.metrics = registry.snapshot()
     return result
-
-
-def fuzz_many(
-    configs: Sequence[FuzzConfig], jobs: Optional[int] = None
-) -> List[FuzzResult]:
-    """Independent campaigns in parallel, one result per config.
-
-    Whole campaigns are pure functions of their config, so this returns
-    exactly ``[fuzz(c) for c in configs]`` at any job count.
-    """
-    return parallel_map(fuzz, list(configs), jobs=jobs)
 
 
 # ======================================================================

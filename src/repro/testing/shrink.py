@@ -182,30 +182,6 @@ def _ddmin_serial(
     return result
 
 
-def shrink_trace(
-    trace: Trace,
-    predicate: Callable[[Trace], bool],
-    max_tests: int = 2000,
-) -> Trace:
-    """Minimize ``trace.records`` while ``predicate`` keeps holding.
-
-    ``predicate`` must hold on ``trace`` itself (raises ``ValueError``
-    otherwise).  Returns a new :class:`Trace`; the input is never
-    modified.  This is :func:`ddmin` specialized to trace records: each
-    candidate record list is rewrapped as a trace (header kept verbatim
-    apart from a recount) before the predicate sees it.
-    """
-    try:
-        reduced = ddmin(
-            list(trace.records),
-            lambda records: predicate(subtrace(trace, records)),
-            max_tests=max_tests,
-        )
-    except ValueError:
-        raise ValueError("predicate does not hold on the unshrunk trace")
-    return subtrace(trace, reduced)
-
-
 class FindingPredicate:
     """Picklable "does this item subset still exhibit finding ``key``?".
 

@@ -6,6 +6,7 @@ import copy
 import json
 
 from repro.bench import (
+    COLUMNS,
     compare_entries,
     floor_problems,
     latest_entry,
@@ -163,9 +164,10 @@ class TestFloors:
     def test_passing_entry_has_no_problems(self):
         assert floor_problems(self._passing()) == []
 
-    def test_slow_decode_is_flagged(self):
+    def test_slow_replay_is_flagged(self):
+        [headline] = [c for c in COLUMNS if c.name == "replay_events_per_s"]
         entry = self._passing()
-        entry["metrics"]["replay_events_per_s"] = 900_000.0
+        entry["metrics"]["replay_events_per_s"] = headline.floor * 0.99
         problems = floor_problems(entry)
         assert len(problems) == 1
         assert "replay_events_per_s" in problems[0]
@@ -295,3 +297,50 @@ class TestCli:
         status = main(argv + ["--no-write", "--threshold", "0.95"])
         assert status == 0
         assert len(ledger_entries(ledger)) == 1
+
+
+class TestHistory:
+    """``--check`` gates against the best of the recent comparable
+    entries, so drift cannot ratchet one tolerated step at a time."""
+
+    def _check(self, monkeypatch, ledger, fresh):
+        monkeypatch.setattr("repro.bench.__main__.collect", lambda **_: fresh)
+        return main(["--check", "--no-write", "--ledger-dir", ledger])
+
+    def _at(self, rate, **knobs):
+        entry = _entry(**{"scale": 0.25, "schema": 2, **knobs})
+        entry["metrics"]["replay_events_per_s"] = rate
+        return entry
+
+    def test_ten_percent_steps_do_not_ratchet(self, tmp_path, monkeypatch):
+        ledger = str(tmp_path / "ledger")
+        for rate in (100.0, 90.0, 81.0):
+            write_entry(ledger, self._at(rate))
+        # -10% against the latest entry, -27% against the best of three.
+        assert self._check(monkeypatch, ledger, self._at(72.9)) == 1
+        assert self._check(monkeypatch, ledger, self._at(81.0)) == 0
+
+    def test_only_the_last_three_comparable_entries_count(
+        self, tmp_path, monkeypatch
+    ):
+        ledger = str(tmp_path / "ledger")
+        write_entry(ledger, self._at(1000.0))  # fell out of the window
+        write_entry(ledger, self._at(5000.0, jobs=4))  # other knobs
+        write_entry(ledger, self._at(5000.0, schema=1))  # other schema
+        for rate in (100.0, 90.0, 95.0):
+            write_entry(ledger, self._at(rate))
+        assert self._check(monkeypatch, ledger, self._at(85.0)) == 0
+        assert self._check(monkeypatch, ledger, self._at(79.0)) == 1
+
+    def test_exact_columns_compare_against_the_latest_entry(
+        self, tmp_path, monkeypatch
+    ):
+        ledger = str(tmp_path / "ledger")
+        for p99 in (600_000, 676_607):
+            entry = self._at(100.0)
+            entry["metrics"]["serve_p99_exit_to_verdict_ns"] = p99
+            write_entry(ledger, entry)
+        assert self._check(monkeypatch, ledger, self._at(100.0)) == 0
+        fresh = self._at(100.0)
+        fresh["metrics"]["serve_p99_exit_to_verdict_ns"] = 600_000
+        assert self._check(monkeypatch, ledger, fresh) == 1

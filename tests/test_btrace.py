@@ -9,15 +9,13 @@ weight on:
 * **decode equivalence** — the eager binary decoder builds exactly
   the objects the dict codec builds, record by record, and replaying a
   btrace equals replaying its records as dicts in every replay mode;
-* **random access** — the mmap-backed index agrees with sequential
-  iteration at *every* record offset, so shard slicing can never skew
-  a campaign;
+* **a complete index** — the on-disk record index holds one offset per
+  record, in order (corruption reports bisect it for a position);
 * **failure honesty** — truncated or corrupt containers raise
   :class:`TraceFormatError` with ``records_read`` context instead of
   returning silently short streams;
-* **fan-out neutrality** — sharded btrace consumption composes to the
-  sequential answer at any job count, and replay verdicts are
-  identical whichever container format fed them.
+* **format neutrality** — replay verdicts are identical whichever
+  container format fed them.
 """
 
 from __future__ import annotations
@@ -44,13 +42,11 @@ from repro.replay.btrace import (
     BinaryTraceReader,
     BinaryTraceWriter,
     convert_trace,
-    count_shard,
     is_btrace_bytes,
     is_btrace_path,
     load_any_trace,
     load_btrace,
     save_btrace,
-    shard_ranges,
 )
 from repro.replay.format import Trace, TraceHeader, scan_marker
 from repro.replay.recorder import SCENARIOS, record_scenario
@@ -150,7 +146,11 @@ class TestDecodeEquivalence:
         save_btrace(path, rootkit_run.trace)
         reader = BinaryTraceReader(path)
         try:
-            n = sum(1 for _ in reader.events())
+            n = sum(
+                1
+                for item in reader.iter_decoded()
+                if type(item) is tuple or item.get("kind", "event") == "event"
+            )
         finally:
             reader.close()
         expected = sum(
@@ -159,20 +159,6 @@ class TestDecodeEquivalence:
             if r.get("kind", "event") == "event"
         )
         assert n == expected
-
-    def test_views_read_what_replay_decodes(self, tmp_path, rootkit_run):
-        path = str(tmp_path / "t.btr")
-        save_btrace(path, rootkit_run.trace)
-        reader = BinaryTraceReader(path)
-        try:
-            views = list(reader.events())
-            items = [i for i in reader.iter_decoded() if type(i) is tuple]
-            assert len(views) == len(items)
-            for view, (_t, event, _task, _parent) in zip(views, items):
-                assert isinstance(view, type(event))
-                assert view.to_record() == event.to_record()
-        finally:
-            reader.close()
 
     def test_in_memory_data_reader(self, exploit_run):
         buf = io.BytesIO()
@@ -185,22 +171,6 @@ class TestDecodeEquivalence:
 
 
 class TestRandomAccess:
-    def test_seek_agrees_with_sequential_at_every_offset(
-        self, tmp_path, exploit_run
-    ):
-        path = str(tmp_path / "t.btr")
-        save_btrace(path, exploit_run.trace)
-        reader = BinaryTraceReader(path)
-        try:
-            sequential = list(reader)
-            assert len(sequential) == reader.record_count
-            for start in range(reader.record_count):
-                tail = list(reader.iter_range(start))
-                assert tail == sequential[start:], f"seek to {start} diverged"
-                assert reader.record_at(start) == sequential[start]
-        finally:
-            reader.close()
-
     def test_index_is_monotone_and_complete(self, tmp_path, exploit_run):
         path = str(tmp_path / "t.btr")
         save_btrace(path, exploit_run.trace)
@@ -210,16 +180,6 @@ class TestRandomAccess:
             assert len(index) == reader.record_count
             assert index == sorted(index)
             assert len(set(index)) == len(index)
-        finally:
-            reader.close()
-
-    def test_out_of_range_seek_raises(self, tmp_path, exploit_run):
-        path = str(tmp_path / "t.btr")
-        save_btrace(path, exploit_run.trace)
-        reader = BinaryTraceReader(path)
-        try:
-            with pytest.raises(TraceFormatError, match="out of range"):
-                list(reader.iter_range(reader.record_count + 1))
         finally:
             reader.close()
 
@@ -257,7 +217,7 @@ class TestCorruption:
         broken = BinaryTraceReader(data=bytes(data))
         try:
             with pytest.raises(TraceFormatError) as err:
-                for _ in broken.events():
+                for _ in broken.iter_decoded():
                     pass
             message = str(err.value)
             assert "record" in message
@@ -269,45 +229,12 @@ class TestCorruption:
         data = self._btrace_bytes(exploit_run)
         reader = BinaryTraceReader(data=bytes(data))
         try:
-            for i, _ in enumerate(reader.events()):
+            for i, _ in enumerate(reader.iter_decoded()):
                 if i >= 9:
                     break
         finally:
             reader.close()
         assert reader.records_read == 10
-
-
-class TestSharding:
-    def test_shard_ranges_partition_exactly(self):
-        for count in (0, 1, 7, 100, 101):
-            for shards in (1, 2, 8):
-                ranges = shard_ranges(count, shards)
-                covered = []
-                for lo, hi in ranges:
-                    assert 0 <= lo <= hi
-                    covered.extend(range(lo, hi))
-                assert covered == list(range(count))
-
-    def test_sharded_counts_compose_to_header(self, tmp_path, rootkit_run):
-        from repro.parallel import parallel_map
-
-        path = str(tmp_path / "t.btr")
-        save_btrace(path, rootkit_run.trace)
-        reader = BinaryTraceReader(path)
-        expected = dict(reader.header.event_counts)
-        record_count = reader.record_count
-        reader.close()
-
-        for jobs in (1, 2, 8):
-            tasks = [
-                (path, lo, hi)
-                for lo, hi in shard_ranges(record_count, max(jobs, 2) * 2)
-            ]
-            merged = {}
-            for counts in parallel_map(count_shard, tasks, jobs=jobs):
-                for key, n in counts.items():
-                    merged[key] = merged.get(key, 0) + n
-            assert merged == expected, f"jobs={jobs}"
 
 
 class TestReplayEquivalence:

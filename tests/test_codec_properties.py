@@ -220,20 +220,3 @@ def test_btrace_truncation_always_raises(events, data):
     cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
     with pytest.raises(TraceFormatError):
         BinaryTraceReader(data=blob[:cut])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    events=st.lists(st.one_of(EVENT_STRATEGIES), min_size=1, max_size=10),
-    data=st.data(),
-)
-def test_btrace_seek_matches_sequential_read(events, data):
-    reader = BinaryTraceReader(data=_btrace_bytes(events))
-    try:
-        sequential = list(reader)
-        start = data.draw(
-            st.integers(min_value=0, max_value=reader.record_count)
-        )
-        assert list(reader.iter_range(start)) == sequential[start:]
-    finally:
-        reader.close()

@@ -300,7 +300,7 @@ class TestCampaignEquivalence:
 
 class TestFuzzEquivalence:
     def test_identical_at_any_job_count(self):
-        from repro.testing.fuzzer import FuzzConfig, fuzz, fuzz_many
+        from repro.testing.fuzzer import FuzzConfig, fuzz
 
         configs = [
             FuzzConfig(target="exploit", seed=seed, budget=5)
@@ -308,7 +308,7 @@ class TestFuzzEquivalence:
         ]
         serial = [fuzz(c) for c in configs]
         for jobs in JOB_COUNTS[1:]:
-            fanned = fuzz_many(configs, jobs=jobs)
+            fanned = parallel_map(fuzz, configs, jobs=jobs)
             assert [r.unique_keys for r in fanned] == [
                 r.unique_keys for r in serial
             ], f"jobs={jobs}"

@@ -31,7 +31,7 @@ from repro.testing.oracle import (
     finding_key,
 )
 from repro.testing.seeds import base_trace, known_miss_trace
-from repro.testing.shrink import FindingPredicate, shrink_trace
+from repro.testing.shrink import FindingPredicate, ddmin, subtrace
 
 THRESHOLD = GoshdOracle().threshold_ns
 CERTAIN_BAR = THRESHOLD + 2 * GoshdOracle().check_period_ns
@@ -366,11 +366,19 @@ class TestFuzzerDeterminism:
         )
 
 
+def shrink(trace, predicate):
+    """ddmin over ``trace``'s records, each candidate judged as a trace."""
+    reduced = ddmin(
+        list(trace.records), lambda records: predicate(subtrace(trace, records))
+    )
+    return subtrace(trace, reduced)
+
+
 class TestShrink:
     def test_rejects_non_reproducing_input(self):
         trace = make_trace([switch(1 * SECOND)])
         with pytest.raises(ValueError):
-            shrink_trace(trace, lambda t: False)
+            shrink(trace, lambda t: False)
 
     def test_ddmin_reduces_to_the_needle(self):
         records = [switch(i * MILLISECOND, vcpu=0) for i in range(40)]
@@ -380,7 +388,7 @@ class TestShrink:
         def predicate(t):
             return any(r.get("vcpu") == 1 for r in t.records)
 
-        reduced = shrink_trace(trace, predicate)
+        reduced = shrink(trace, predicate)
         assert len(reduced.records) == 1
         assert reduced.records[0]["vcpu"] == 1
         # Input unmodified, header recounted on the output.
@@ -394,7 +402,7 @@ class TestShrink:
         def predicate(t):
             return any(r["t"] == 3 * SECOND for r in t.records)
 
-        reduced = shrink_trace(trace, predicate)
+        reduced = shrink(trace, predicate)
         assert [r["t"] for r in reduced.records] == [3 * SECOND]
 
 

@@ -127,6 +127,9 @@ class GuestKernel:
         self.init_task_gva = 0
         self.kernel_pdba = 0
         self._swappers: List[Task] = []
+        #: Per-vCPU timeslice labels (``perturb.TIMESLICE_LABELS``
+        #: matches on them), built once at boot rather than per step.
+        self._step_labels: List[str] = []
 
     # ==================================================================
     # Boot
@@ -195,9 +198,11 @@ class GuestKernel:
         machine.start_timers()
         self.booted = True
         self.running = True
+        self._step_labels = [f"step-vcpu{v.index}" for v in machine.vcpus]
         for i, vcpu in enumerate(machine.vcpus):
             self.engine.schedule(
-                MIN_STEP_NS + i * 137, self._step, vcpu, label=f"step-vcpu{i}"
+                MIN_STEP_NS + i * 137, self._step, vcpu,
+                label=self._step_labels[i],
             )
 
     def shutdown(self) -> None:
@@ -742,7 +747,7 @@ class GuestKernel:
         spent = vcpu.collect_charges()
         self.engine.schedule(
             max(spent, MIN_STEP_NS), self._step, vcpu,
-            label=f"step-vcpu{vcpu.index}",
+            label=self._step_labels[vcpu.index],
         )
 
     # ------------------------------------------------------------------

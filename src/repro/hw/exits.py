@@ -29,6 +29,13 @@ class ExitReason(enum.Enum):
     HLT = "HLT"
     VMCALL = "VMCALL"
 
+    # Members are singletons, so identity hash is equivalent to the
+    # default name hash — but it runs in C.  The live exit path keys
+    # per-exit counters on this enum (``VCPU._vm_exit``,
+    # ``KvmHypervisor.handle_exit``); Python-level ``Enum.__hash__`` was
+    # a large share of each exit's bookkeeping there.
+    __hash__ = object.__hash__
+
 
 class ExitAction(enum.Enum):
     """What the hypervisor tells the hardware to do after handling."""

@@ -115,6 +115,7 @@ REJECT_REASONS = frozenset(
         "unknown-kind",
         "decode",
         "bad-scan",
+        "timer-cap",
     }
 )
 

@@ -51,7 +51,9 @@ from repro.sim.engine import Engine
 #: otherwise drag every periodic auditor check across aeons).
 HORIZON_SLACK_NS = 120 * SECOND
 
-#: Safety valve on timer callbacks fired per replayed record.
+#: Safety valve on timer callbacks fired per replayed record.  A record
+#: whose gap would fire more is rejected (``timer-cap``), and so is the
+#: rest of its stream: the clock cannot catch up without firing them.
 _MAX_TIMER_EVENTS_PER_RECORD = 100_000
 
 
@@ -246,19 +248,26 @@ class ReplaySource:
         # scheduled delivery (the drain must reach it).
         self._fed = 0
         self._last_due = 0
+        # Set once an unperturbed advance hits the timer cap.
+        self._timers_capped = False
 
     # ------------------------------------------------------------------
-    def _advance_to(self, t_ns: int) -> None:
-        """Move virtual time forward, firing due auditor timers."""
+    def _advance_to(self, t_ns: int) -> bool:
+        """Move virtual time forward, firing due auditor timers.
+
+        ``False`` when more than the per-record timer budget falls due
+        first: the capped run leaves the clock at the last timer fired.
+        """
         engine = self.engine
         if t_ns <= engine.clock.now:
-            return
+            return True
         queue = engine._queue
-        if queue and queue[0].when <= t_ns:
+        if queue and queue[0][0] <= t_ns:
             engine.run_until(t_ns, max_events=_MAX_TIMER_EVENTS_PER_RECORD)
-        else:
-            # Nothing due before the target: just move the clock.
-            engine.clock.advance_to(t_ns)
+            return engine.clock.now == t_ns
+        # Nothing due before the target: just move the clock.
+        engine.clock.advance_to(t_ns)
+        return True
 
     def _reject(self, reason: str) -> None:
         """Account one graceful rejection (malformed/unreplayable)."""
@@ -333,7 +342,10 @@ class ReplaySource:
             self._reject("decode")
             return False
         if self.perturb is None:
-            self._advance_to(t_ns)
+            if self._timers_capped or not self._advance_to(t_ns):
+                self._timers_capped = True
+                self._reject("timer-cap")
+                return False
             self._deliver(*item)
             return True
         engine = self.engine
@@ -413,6 +425,7 @@ class ReplaySource:
         self._advance_to(header.start_ns)
         self._fed = 0
         self._last_due = self.engine.clock.now
+        self._timers_capped = False
         if self.rhc is not None:
             self.rhc.start()
         for auditor in self.auditors:
@@ -437,7 +450,7 @@ class ReplaySource:
         if self.perturb is None:
             # Play out the recorded tail so end-of-trace silence is seen
             # by the periodic checkers exactly as the live run saw it.
-            if target is not None:
+            if target is not None and not self._timers_capped:
                 self._advance_to(target)
         else:
             # Bounded drain: enough for every delivery plus the periodic
@@ -450,6 +463,11 @@ class ReplaySource:
             self.engine.run_until(
                 deadline, max_events=self._fed + _MAX_TIMER_EVENTS_PER_RECORD
             )
+            # A capped drain leaves deliveries queued that the clock
+            # cannot reach without firing more timers: reject them.
+            for _, _, _, event in self.engine._queue:
+                if event.callback == self._deliver and not event.cancelled:
+                    self._reject("timer-cap")
             report.events_dropped = self.engine.events_dropped
         report.wall_seconds = perf_counter() - self._stream_wall
         report.sim_span_ns = max(

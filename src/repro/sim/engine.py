@@ -15,7 +15,7 @@ default policy is ``None``: ordering is exactly the documented
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
@@ -24,10 +24,12 @@ from repro.sim.clock import VirtualClock
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation.
 
-    ``prio`` is a tie-break priority between ``when`` and ``seq``: it is
-    0 for every normally scheduled event (so insertion order decides),
-    and only a schedule policy ever sets it — which is how bounded
-    same-instant reordering is injected without touching callers.
+    The heap holds ``(when, prio, seq, event)`` entries, so ``heapq``
+    orders them in C; the handle itself is never compared.  ``prio`` is
+    a tie-break priority between ``when`` and ``seq``: it is 0 for every
+    normally scheduled event (so insertion order decides), and only a
+    schedule policy ever sets it — which is how bounded same-instant
+    reordering is injected without touching callers.
     """
 
     __slots__ = (
@@ -64,9 +66,6 @@ class ScheduledEvent:
         if engine is not None:
             engine._note_cancelled()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.when, self.prio, self.seq) < (other.when, other.prio, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"ScheduledEvent({self.label!r} @ {self.when}ns, {state})"
@@ -81,10 +80,9 @@ class Engine:
         schedule_policy: Optional[Any] = None,
     ) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self._queue: List[ScheduledEvent] = []
+        #: Heap of ``(when, prio, seq, event)`` entries.
+        self._queue: List[Tuple[int, int, int, ScheduledEvent]] = []
         self._seq = 0
-        self._events_fired = 0
-        self._running = False
         self._stop_requested = False
         #: Live count of non-cancelled queued events (O(1) ``pending``).
         self._pending = 0
@@ -114,25 +112,7 @@ class Engine:
                 f"cannot schedule event in the past "
                 f"({t_ns} < now {self.clock.now})"
             )
-        when = int(t_ns)
-        prio = 0
-        if self.schedule_policy is not None:
-            when, prio, drop = self.schedule_policy.on_schedule(
-                when, label, self.clock.now
-            )
-            when = max(int(when), self.clock.now)
-            if drop:
-                event = ScheduledEvent(when, self._seq, callback, args, label, prio)
-                self._seq += 1
-                event.cancelled = True
-                self.events_dropped += 1
-                return event
-        event = ScheduledEvent(when, self._seq, callback, args, label, prio)
-        self._seq += 1
-        event._engine = self
-        self._pending += 1
-        heapq.heappush(self._queue, event)
-        return event
+        return self._push(int(t_ns), callback, args, label)
 
     def schedule(
         self,
@@ -144,18 +124,33 @@ class Engine:
         """Schedule ``callback(*args)`` after a relative delay."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
-        return self.schedule_at(
-            self.clock.now + int(delay_ns), callback, *args, label=label
-        )
+        return self._push(self.clock.now + int(delay_ns), callback, args, label)
+
+    def _push(
+        self, when: int, callback: Callable[..., Any], args: tuple, label: str
+    ) -> ScheduledEvent:
+        prio = 0
+        drop = False
+        policy = self.schedule_policy
+        if policy is not None:
+            now = self.clock.now
+            when, prio, drop = policy.on_schedule(when, label, now)
+            when = max(int(when), now)
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(when, seq, callback, args, label, prio)
+        if drop:
+            event.cancelled = True
+            self.events_dropped += 1
+            return event
+        event._engine = self
+        self._pending += 1
+        heapq.heappush(self._queue, (when, prio, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    @property
-    def events_fired(self) -> int:
-        """Total number of callbacks executed so far."""
-        return self._events_fired
-
     @property
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1) live counter)."""
@@ -164,11 +159,11 @@ class Engine:
     def stop(self) -> None:
         """Request that the event loop stop before firing another event.
 
-        The request is *consumed* by the next (or current) ``run_until``
-        / ``run_for`` call: a stop issued mid-run halts that run after
-        the current callback; a stop issued between runs makes the next
-        run return immediately, firing nothing and leaving the clock
-        untouched.  Subsequent runs proceed normally.
+        The request is *consumed* by the next (or current) run —
+        ``run_until``, ``run_for`` or ``step``: a stop issued mid-run
+        halts that run after the current callback; a stop issued between
+        runs makes the next run return immediately, firing nothing and
+        leaving the clock untouched.  Subsequent runs proceed normally.
         """
         self._stop_requested = True
 
@@ -180,34 +175,28 @@ class Engine:
         self._cancelled_in_heap += 1
         # Lazy compaction: only when cancelled events dominate the heap
         # does the O(n) rebuild pay for itself.  (when, prio, seq)
-        # ordering is untouched — heapify over the surviving events
+        # ordering is untouched — heapify over the surviving entries
         # reproduces exactly the order popping would have yielded.
         if (
             self._cancelled_in_heap * 2 > len(self._queue)
             and len(self._queue) >= 64
         ):
             # In-place (callers may hold an alias to the heap list).
-            self._queue[:] = [e for e in self._queue if not e.cancelled]
+            self._queue[:] = [e for e in self._queue if not e[3].cancelled]
             heapq.heapify(self._queue)
             self._cancelled_in_heap = 0
 
     def step(self) -> bool:
-        """Fire the single next event.
+        """Fire the single next event, whatever its time.
 
-        Returns ``False`` when the queue is exhausted.
+        Returns ``False`` when the queue is exhausted (or a pending
+        :meth:`stop` was consumed instead).
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            event._engine = None
-            self._pending -= 1
-            self.clock.advance_to(event.when)
-            self._events_fired += 1
-            event.callback(*event.args)
-            return True
-        return False
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+            self._cancelled_in_heap -= 1
+        return bool(queue) and self.run_until(queue[0][0], max_events=1) == 1
 
     def run_until(self, t_ns: int, max_events: Optional[int] = None) -> int:
         """Run events up to and including time ``t_ns``.
@@ -215,31 +204,41 @@ class Engine:
         Returns the number of events fired.  ``max_events`` is a safety
         valve against runaway loops in experiment harnesses.
 
-        Stop/horizon contract: when no :meth:`stop` intervenes, the
-        clock always lands exactly on ``t_ns`` so repeated calls tile
-        time without gaps.  A pending stop request (whether issued
-        during this run or before it) halts the loop without advancing
-        to the horizon, and is consumed — it never leaks into the next
-        tiling.
+        Stop/horizon contract: when no :meth:`stop` intervenes and the
+        run is not capped, the clock always lands exactly on ``t_ns`` so
+        repeated calls tile time without gaps.  A pending stop request
+        (whether issued during this run or before it) halts the loop
+        without advancing to the horizon, and is consumed — it never
+        leaks into the next tiling.  A run capped by ``max_events`` with
+        due events still queued halts the same way: the clock stays at
+        the last fired event, so the next run fires the rest in order.
         """
+        queue = self._queue
+        clock = self.clock
+        advance = clock.advance_to
+        pop = heapq.heappop
+        budget = -1 if max_events is None else max_events
         fired = 0
-        while self._queue and not self._stop_requested:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        while queue and not self._stop_requested:
+            when, _, _, event = queue[0]
+            if event.cancelled:
+                pop(queue)
                 self._cancelled_in_heap -= 1
                 continue
-            if head.when > t_ns:
+            if when > t_ns:
                 break
-            self.step()
+            if fired == budget:
+                return fired
+            pop(queue)
+            event._engine = None
+            self._pending -= 1
+            advance(when)
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        # Always land exactly on the requested horizon so that repeated
-        # run_until calls tile time without gaps.
-        if self.clock.now < t_ns and not self._stop_requested:
-            self.clock.advance_to(t_ns)
-        self._stop_requested = False
+            event.callback(*event.args)
+        if self._stop_requested:
+            self._stop_requested = False
+        elif clock.now < t_ns:
+            advance(t_ns)
         return fired
 
     def run_for(self, duration_ns: int, max_events: Optional[int] = None) -> int:

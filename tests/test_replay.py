@@ -8,6 +8,7 @@ RHC silence-gap interaction, and fuzz determinism / crash freedom.
 import copy
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.core.events import (
 )
 from repro.errors import TraceFormatError
 from repro.hw.exits import ExitAction, ExitReason, GuestStateSnapshot, MemAccess
+from repro.obs.metrics import MetricsRegistry
 from repro.replay.format import (
     FORMAT_VERSION,
     Trace,
@@ -37,11 +39,14 @@ from repro.replay.format import (
     task_from_record,
     task_to_record,
 )
+from repro.replay.__main__ import main as replay_main
+from repro.replay.btrace import convert_trace, load_any_trace
 from repro.replay.mutate import TraceMutator
-from repro.replay.recorder import SCENARIOS, record_scenario
+from repro.replay.recorder import SCENARIOS, auditors_for, record_scenario
 from repro.replay.source import ReplaySource
 from repro.replay.trace_io import TraceWriter, dumps_trace, load_trace, save_trace
 from repro.sim.clock import SECOND
+from repro.sim.perturb import PerturbationConfig, SchedulePerturbation
 
 GOLDEN_TRACE = str(pathlib.Path(__file__).parent / "data" / "golden_exploit.jsonl")
 
@@ -226,6 +231,21 @@ class TestGoldenTrace:
         assert first.verdicts == second.verdicts
         assert first.events_replayed == second.events_replayed
 
+    def test_live_recording_matches_golden(self):
+        # Pins the live engine that produced the golden, not only its
+        # replay: every record line byte for byte, the header on the
+        # golden's keys (it predates ``meta.perturb_seed``) with the
+        # wall-clock field masked.
+        with open(GOLDEN_TRACE, encoding="utf-8") as fh:
+            golden = fh.read().splitlines()
+        lines = dumps_trace(record_scenario("exploit", seed=0).trace).splitlines()
+        assert lines[1:] == golden[1:]
+        header, golden_header = json.loads(lines[0]), json.loads(golden[0])
+        for h in (header, golden_header):
+            h["meta"]["live_wall_seconds"] = None
+        header["meta"] = {k: header["meta"][k] for k in golden_header["meta"]}
+        assert {k: header[k] for k in golden_header} == golden_header
+
 
 class TestScenarioReproduction:
     @pytest.mark.parametrize("name", ["exploit", "rootkit"])
@@ -355,6 +375,65 @@ class TestMutatorAndFuzz:
         report = ReplaySource(mutated, [HTNinja()]).run()
         assert report.events_rejected == 1
         assert not report.container_failed
+
+
+class TestTimerCapRejection:
+    """A gap that would fire more auditor timers than the per-record cap
+    is a counted ``timer-cap`` rejection for the rest of the stream, not
+    a crash and not an unbounded run."""
+
+    #: Wall budget per replay.  The capped advance fires the per-record
+    #: timer cap once (well under a second on a 2-vCPU host); without
+    #: the stream-wide rejection every later record would fire it again.
+    BUDGET_S = 20.0
+    GAP_NS = 10**15
+
+    @pytest.fixture(scope="class")
+    def gap_paths(self, tmp_path_factory):
+        # GOSHD's periodic timer meets a 10^15 ns jump halfway through.
+        trace = record_scenario("hang", seed=0).trace
+        half = len(trace.records) // 2
+        for record in trace.records[half:]:
+            record["t"] += self.GAP_NS
+        trace.header.end_ns += self.GAP_NS
+        root = tmp_path_factory.mktemp("gap")
+        jsonl, btr = str(root / "gap.jsonl.gz"), str(root / "gap.btr")
+        save_trace(jsonl, trace)
+        convert_trace(jsonl, btr)
+        return jsonl, btr, len(trace.records) - half
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["jsonl", "btrace"])
+    def test_cli_replay_is_bounded(self, gap_paths, which, capsys):
+        started = time.perf_counter()
+        code = replay_main(["replay", gap_paths[which]])
+        assert time.perf_counter() - started < self.BUDGET_S
+        assert code == 0
+        assert f"({gap_paths[2]} rejected" in capsys.readouterr().out
+
+    @staticmethod
+    def _replay(path, perturb=None):
+        trace = load_any_trace(path)
+        registry = MetricsRegistry()
+        report = ReplaySource(
+            trace, auditors_for(trace), perturb=perturb, metrics=registry
+        ).run()
+        rejected = {
+            labels["reason"]: value
+            for _name, labels, value in registry.rows("flow.rejected")
+        }
+        return rejected, report.events_rejected, report.events_replayed
+
+    def test_same_accounting_from_jsonl_and_btrace(self, gap_paths):
+        jsonl, btr, shifted = gap_paths
+        outcome = self._replay(jsonl)
+        assert self._replay(btr) == outcome
+        assert outcome[:2] == ({"timer-cap": shifted}, shifted)
+
+    def test_perturbed_drain_accounts_unreached_deliveries(self, gap_paths):
+        # Perturbed delivery goes through the engine queue; the capped
+        # drain must reject what it never reached, not lose it.
+        zero = SchedulePerturbation(0, PerturbationConfig())
+        assert self._replay(gap_paths[0], zero) == self._replay(gap_paths[0])
 
 
 class TestNormalizeAlerts:

@@ -111,6 +111,19 @@ class TestEngine:
         fired = engine.run_until(10**9, max_events=100)
         assert fired == 100
 
+    def test_capped_run_keeps_due_events_in_order(self):
+        # A run stopped by max_events halts like stop(): the clock stays
+        # at the last fired event, so the next run fires the rest.
+        engine = Engine()
+        fired = []
+        for t in (10, 20, 30):
+            engine.schedule_at(t, fired.append, t)
+        assert engine.run_until(100, max_events=1) == 1
+        assert engine.clock.now == 10
+        assert engine.run_until(200) == 2
+        assert fired == [10, 20, 30]
+        assert engine.clock.now == 200
+
     def test_stop_during_run(self):
         engine = Engine()
         fired = []
@@ -195,7 +208,8 @@ class TestCancellationCompaction:
         # Compaction is lazy (it triggers on a cancelled majority), so
         # some tombstones may remain — but never again a majority, and
         # never the 150 a naive heap would carry to their pop times.
-        tombstones = sum(1 for event in engine._queue if event.cancelled)
+        # Heap entries are (when, prio, seq, event).
+        tombstones = sum(1 for entry in engine._queue if entry[3].cancelled)
         assert len(engine._queue) < 200
         assert tombstones * 2 <= len(engine._queue)
 

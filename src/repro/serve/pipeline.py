@@ -81,6 +81,18 @@ class StreamConfig:
             raise TraceFormatError(
                 f"unknown stream config keys: {sorted(unknown)}"
             )
+        for key, value in payload.items():
+            if key == "policy" or (key == "rhc_timeout_ns" and value is None):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TraceFormatError(
+                    f"stream config {key} must be an int, got {value!r}"
+                )
+            # The ranges AdmissionModel enforces, checked at the wire.
+            if key in ("queue_limit", "service_ns") and value < 1:
+                raise TraceFormatError(
+                    f"stream config {key} must be >= 1, got {value}"
+                )
         config = StreamConfig(**payload)
         if config.policy not in POLICIES:
             raise TraceFormatError(f"unknown policy {config.policy!r}")

@@ -32,7 +32,7 @@ by the virtual ``arrival_ns`` stamps inside the frames.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.errors import TraceFormatError
 
@@ -53,6 +53,7 @@ class ProtocolError(TraceFormatError):
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode
+_decode = json.JSONDecoder().decode
 
 
 def encode_frame(frame: Dict[str, Any]) -> bytes:
@@ -60,13 +61,68 @@ def encode_frame(frame: Dict[str, Any]) -> bytes:
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
+    """One wire line (with or without its ``\\n``) as a frame dict.
+
+    Every way a line can fail to be a frame is a :class:`ProtocolError`:
+    over :data:`MAX_FRAME_BYTES`, not UTF-8, not JSON (including numbers
+    past the int-conversion limit and nesting past the recursion limit),
+    or not an object with a string ``kind``.
+    """
+    if len(line) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"bad frame (over {MAX_FRAME_BYTES} bytes): {len(line)} bytes"
+        )
     try:
-        frame = json.loads(line)
-    except json.JSONDecodeError as exc:
+        frame = _decode(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"bad frame (not UTF-8): {exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"bad frame (not JSON): {exc}") from exc
     if not isinstance(frame, dict) or not isinstance(frame.get("kind"), str):
         raise ProtocolError(f"bad frame (no kind): {frame!r}")
     return frame
+
+
+class FrameSplitter:
+    """Cuts a byte stream into ``\\n``-terminated frames.
+
+    :meth:`feed` returns, in order and without their ``\\n``, the lines
+    a chunk completes.  The unterminated rest is kept as a list of
+    parts and joined once, when its newline arrives, so a long frame
+    spread over many reads is copied once rather than once per read.
+    A rest that grows past :data:`MAX_FRAME_BYTES` comes out as a line
+    at once: :func:`decode_frame` rejects it by length, and buffering
+    stays bounded whatever the peer sends.
+    """
+
+    __slots__ = ("_parts", "_pending")
+
+    def __init__(self) -> None:
+        self._parts: List[bytes] = []
+        self._pending = 0
+
+    def feed(self, chunk: bytes) -> List[bytes]:
+        lines = chunk.split(b"\n")
+        rest = lines.pop()
+        parts = self._parts
+        if parts and lines:
+            parts.append(lines[0])
+            lines[0] = b"".join(parts)
+            parts.clear()
+            self._pending = 0
+        if rest:
+            parts.append(rest)
+            self._pending += len(rest)
+            if self._pending > MAX_FRAME_BYTES:
+                lines.append(self.close())
+        return lines
+
+    def close(self) -> bytes:
+        """The unterminated rest at end of stream (``b""`` if none)."""
+        rest = b"".join(self._parts)
+        self._parts.clear()
+        self._pending = 0
+        return rest
 
 
 def expect(frame: Dict[str, Any], kind: str) -> Dict[str, Any]:

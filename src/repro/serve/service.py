@@ -38,11 +38,16 @@ from repro.serve.protocol import (
     DEFAULT_CREDIT,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    FrameSplitter,
     ProtocolError,
     decode_frame,
     encode_frame,
     expect,
 )
+
+#: Bytes asked of the socket per read; every complete frame in a read
+#: is dispatched before the next one.
+READ_CHUNK_BYTES = 1 << 16
 
 
 class _ConnStream:
@@ -151,9 +156,11 @@ class StreamService:
                 raise ProtocolError(f"bad stream config: {overrides!r}")
             merged.update(overrides)
         config = StreamConfig.from_payload(merged)
+        # Parsed here at every job count, so a bad header is this
+        # connection's error frame, never a failed shard task.
+        header = TraceHeader.from_record(header_record)
         state = _ConnStream(stream_id)
         if self.jobs == 1:
-            header = TraceHeader.from_record(header_record)
             state.pipeline = StreamPipeline(stream_id, header, config=config)
         else:
             state.header_record = header_record
@@ -176,16 +183,18 @@ class StreamService:
         bytes_in = transport.counter("transport.bytes", dir="in")
         streams: Dict[str, _ConnStream] = {}
         pending: List[Dict[str, Any]] = []
+        write = writer.write
 
-        async def send(frame: Dict[str, Any]) -> None:
-            writer.write(encode_frame(frame))
+        def send(frame: Dict[str, Any]) -> None:
+            """Queue one reply; the read loop drains once per chunk."""
+            write(encode_frame(frame))
             frames_out.inc()
-            await writer.drain()
 
         async def flush_pending() -> None:
             """Dispatch buffered whole-stream specs (jobs > 1 path)."""
             if not pending:
                 return
+            await writer.drain()
             specs = pending[:]
             pending.clear()
             results = await asyncio.to_thread(
@@ -195,148 +204,167 @@ class StreamService:
                 self._record_result(
                     spec["stream"], result["payload"], result["snapshot"]
                 )
-                await send({"kind": "verdict", **result["payload"]})
+                send({"kind": "verdict", **result["payload"]})
 
+        # One read hands every complete frame it holds to the loop
+        # below, which dispatches them in order without awaiting (except
+        # to shard buffered streams).  At EOF an unterminated rest is
+        # one last frame, as ``readline`` would return it.
+        splitter = FrameSplitter()
+        greeted = False
+        done = False
         try:
-            line = await reader.readline()
-            if not line:
-                return
-            frames_in.inc()
-            hello = expect(decode_frame(line), "hello")
-            if hello.get("version") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"unsupported protocol version {hello.get('version')!r} "
-                    f"(this service speaks {PROTOCOL_VERSION})"
-                )
-            await send(
-                {
-                    "kind": "welcome",
-                    "version": PROTOCOL_VERSION,
-                    "jobs": self.jobs,
-                }
-            )
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                frames_in.inc()
-                bytes_in.inc(len(line))
-                frame = decode_frame(line)
-                kind = frame["kind"]
-                if kind == "rec":
-                    state = streams.get(frame.get("stream"))
-                    if state is None:
-                        raise ProtocolError(
-                            f"rec for unopened stream {frame.get('stream')!r}"
-                        )
-                    arrival = frame.get("arrival_ns")
-                    if arrival is not None and not isinstance(arrival, int):
-                        raise ProtocolError(f"bad arrival_ns {arrival!r}")
-                    body = frame.get("body")
-                    state.received += 1
-                    if state.pipeline is not None:
-                        decision = state.pipeline.feed(body, arrival)
-                        if decision is not None:
-                            if decision.slowdown and not state.slowed:
-                                state.slowed = True
-                                transport.inc("transport.slowdowns_sent")
-                                await send(
-                                    {
-                                        "kind": "slowdown",
-                                        "stream": state.stream_id,
-                                        "wait_ns": decision.wait_ns,
-                                    }
-                                )
-                            elif not decision.slowdown and state.slowed:
-                                state.slowed = False
-                    else:
-                        state.records.append(body)
-                        state.arrivals.append(arrival)
-                    state.credit_used += 1
-                    if state.credit_used >= CREDIT_BATCH:
-                        grant = state.credit_used
-                        state.credit_used = 0
-                        transport.inc("transport.credit_grants")
-                        await send(
-                            {
-                                "kind": "credit",
-                                "stream": state.stream_id,
-                                "n": grant,
-                            }
-                        )
-                elif kind == "stream-open":
-                    state = self._open_stream(frame)
-                    streams[state.stream_id] = state
-                    await send(
-                        {
-                            "kind": "stream-ack",
-                            "stream": state.stream_id,
-                            "credit": DEFAULT_CREDIT,
-                        }
-                    )
-                elif kind == "stream-close":
-                    state = streams.pop(frame.get("stream"), None)
-                    if state is None:
-                        raise ProtocolError(
-                            f"close for unopened stream {frame.get('stream')!r}"
-                        )
-                    self._open_streams.discard(state.stream_id)
-                    end_ns = frame.get("end_ns")
-                    if end_ns is not None and not isinstance(end_ns, int):
-                        raise ProtocolError(f"bad end_ns {end_ns!r}")
-                    if state.pipeline is not None:
-                        result = state.pipeline.close(end_ns)
-                        payload = result.verdict_payload()
-                        self._record_result(
-                            state.stream_id, payload, result.snapshot
-                        )
-                        await send({"kind": "verdict", **payload})
-                    else:
-                        pending.append(
-                            {
-                                "stream": state.stream_id,
-                                "header": state.header_record,
-                                "records": state.records,
-                                "arrivals": state.arrivals,
-                                "end_ns": end_ns,
-                                "config": state.config_payload,
-                            }
-                        )
-                        # Shard when a full batch is ready, or when the
-                        # connection has no stream left open (nothing
-                        # more can join the batch).
-                        if not streams or len(pending) >= self.jobs * 2:
-                            await flush_pending()
-                elif kind == "export":
-                    await flush_pending()
-                    scope = frame.get("scope") or "pipeline"
-                    if scope not in SCOPES:
-                        raise ProtocolError(f"unknown scope {scope!r}")
-                    await send(
-                        {
-                            "kind": "export-result",
-                            "scope": scope,
-                            "lines": self.export(scope),
-                        }
-                    )
-                elif kind == "shutdown":
-                    await flush_pending()
-                    await send({"kind": "bye"})
-                    assert self._shutdown is not None
-                    self._shutdown.set()
-                    break
+            while not done:
+                chunk = await reader.read(READ_CHUNK_BYTES)
+                if chunk:
+                    lines = splitter.feed(chunk)
+                    eol = 1
                 else:
-                    raise ProtocolError(f"unexpected frame kind {kind!r}")
+                    rest = splitter.close()
+                    lines = [rest] if rest else []
+                    eol = 0
+                    done = True
+                for line in lines:
+                    frames_in.inc()
+                    if not greeted:
+                        hello = expect(decode_frame(line), "hello")
+                        if hello.get("version") != PROTOCOL_VERSION:
+                            raise ProtocolError(
+                                "unsupported protocol version "
+                                f"{hello.get('version')!r} "
+                                f"(this service speaks {PROTOCOL_VERSION})"
+                            )
+                        send(
+                            {
+                                "kind": "welcome",
+                                "version": PROTOCOL_VERSION,
+                                "jobs": self.jobs,
+                            }
+                        )
+                        greeted = True
+                        continue
+                    bytes_in.inc(len(line) + eol)
+                    frame = decode_frame(line)
+                    kind = frame["kind"]
+                    if kind == "rec":
+                        state = streams.get(frame.get("stream"))
+                        if state is None:
+                            raise ProtocolError(
+                                "rec for unopened stream "
+                                f"{frame.get('stream')!r}"
+                            )
+                        arrival = frame.get("arrival_ns")
+                        if arrival is not None and not isinstance(arrival, int):
+                            raise ProtocolError(f"bad arrival_ns {arrival!r}")
+                        body = frame.get("body")
+                        state.received += 1
+                        if state.pipeline is not None:
+                            decision = state.pipeline.feed(body, arrival)
+                            if decision is not None:
+                                if decision.slowdown and not state.slowed:
+                                    state.slowed = True
+                                    transport.inc("transport.slowdowns_sent")
+                                    send(
+                                        {
+                                            "kind": "slowdown",
+                                            "stream": state.stream_id,
+                                            "wait_ns": decision.wait_ns,
+                                        }
+                                    )
+                                elif not decision.slowdown and state.slowed:
+                                    state.slowed = False
+                        else:
+                            state.records.append(body)
+                            state.arrivals.append(arrival)
+                        state.credit_used += 1
+                        if state.credit_used >= CREDIT_BATCH:
+                            grant = state.credit_used
+                            state.credit_used = 0
+                            transport.inc("transport.credit_grants")
+                            send(
+                                {
+                                    "kind": "credit",
+                                    "stream": state.stream_id,
+                                    "n": grant,
+                                }
+                            )
+                    elif kind == "stream-open":
+                        state = self._open_stream(frame)
+                        streams[state.stream_id] = state
+                        send(
+                            {
+                                "kind": "stream-ack",
+                                "stream": state.stream_id,
+                                "credit": DEFAULT_CREDIT,
+                            }
+                        )
+                    elif kind == "stream-close":
+                        state = streams.pop(frame.get("stream"), None)
+                        if state is None:
+                            raise ProtocolError(
+                                "close for unopened stream "
+                                f"{frame.get('stream')!r}"
+                            )
+                        self._open_streams.discard(state.stream_id)
+                        end_ns = frame.get("end_ns")
+                        if end_ns is not None and not isinstance(end_ns, int):
+                            raise ProtocolError(f"bad end_ns {end_ns!r}")
+                        if state.pipeline is not None:
+                            result = state.pipeline.close(end_ns)
+                            payload = result.verdict_payload()
+                            self._record_result(
+                                state.stream_id, payload, result.snapshot
+                            )
+                            send({"kind": "verdict", **payload})
+                        else:
+                            pending.append(
+                                {
+                                    "stream": state.stream_id,
+                                    "header": state.header_record,
+                                    "records": state.records,
+                                    "arrivals": state.arrivals,
+                                    "end_ns": end_ns,
+                                    "config": state.config_payload,
+                                }
+                            )
+                            # Shard when a full batch is ready, or when
+                            # the connection has no stream left open
+                            # (nothing more can join the batch).
+                            if not streams or len(pending) >= self.jobs * 2:
+                                await flush_pending()
+                    elif kind == "export":
+                        await flush_pending()
+                        scope = frame.get("scope") or "pipeline"
+                        if scope not in SCOPES:
+                            raise ProtocolError(f"unknown scope {scope!r}")
+                        send(
+                            {
+                                "kind": "export-result",
+                                "scope": scope,
+                                "lines": self.export(scope),
+                            }
+                        )
+                    elif kind == "shutdown":
+                        await flush_pending()
+                        send({"kind": "bye"})
+                        assert self._shutdown is not None
+                        self._shutdown.set()
+                        done = True
+                        break
+                    else:
+                        raise ProtocolError(f"unexpected frame kind {kind!r}")
+                await writer.drain()
         except TraceFormatError as exc:
             # Covers ProtocolError and malformed headers/configs: the
             # producer hears one error frame, the service keeps running
             # for everyone else.
             transport.inc("transport.errors")
             try:
-                await send({"kind": "error", "message": str(exc)})
+                send({"kind": "error", "message": str(exc)})
+                await writer.drain()
             except OSError:
                 pass
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             transport.inc("transport.disconnects")
         finally:
             # Streams the connection left open (error, disconnect) free

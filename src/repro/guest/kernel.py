@@ -712,18 +712,21 @@ class GuestKernel:
         cpu = self.cpus[vcpu.index]
 
         # 1. Interrupts (if the local IRQ flag allows).
-        if cpu.irqs_enabled:
-            while vcpu.pending_interrupts:
-                vector = vcpu.pending_interrupts.popleft()
+        pending = vcpu.pending_interrupts
+        if pending and cpu.irqs_enabled:
+            irq_handler = self.machine.irq_handler
+            while pending:
+                vector = pending.popleft()
                 vcpu.accept_external_interrupt(vector)
-                handler = self.machine.irq_handler(vector)
+                handler = irq_handler(vector)
                 if handler is not None:
                     handler(vcpu, vector)
 
         # 2. Preemption.
         cur = cpu.current
+        idle = cpu.idle_task
         if cur.state is TaskState.ZOMBIE or (
-            cur is not cpu.idle_task and not cur.runnable()
+            cur is not idle and not cur.runnable()
         ):
             self._schedule(vcpu)
             cur = cpu.current
@@ -731,22 +734,23 @@ class GuestKernel:
             self._schedule(vcpu)
             cur = cpu.current
 
-        # 3. Run.
-        if cur is cpu.idle_task:
+        # 3. Run.  An idle step is charged at collection below.
+        idle_ns = 0
+        if cur is idle:
             if cpu.runqueue:
                 self._schedule(vcpu)
                 cur = cpu.current
-            if cur is cpu.idle_task:
-                vcpu.charge(IDLE_SLICE_NS)
+            if cur is idle:
+                idle_ns = IDLE_SLICE_NS
             else:
                 self._run_task_op(vcpu, cur)
         else:
             self._run_task_op(vcpu, cur)
 
         # 4. Next step after the accrued simulated work.
-        spent = vcpu.collect_charges()
+        spent = vcpu.collect_charges() + idle_ns
         self.engine.schedule(
-            max(spent, MIN_STEP_NS), self._step, vcpu,
+            spent if spent > MIN_STEP_NS else MIN_STEP_NS, self._step, vcpu,
             label=self._step_labels[vcpu.index],
         )
 
@@ -789,33 +793,29 @@ class GuestKernel:
 
     # ------------------------------------------------------------------
     def _apply_op(self, vcpu: VCPU, task: Task, op: Any) -> None:
-        if isinstance(op, Compute):
-            vcpu.charge(op.ns)
-        elif isinstance(op, KCompute):
-            vcpu.charge(op.ns)
-        elif isinstance(op, Syscall):
-            self._enter_syscall(vcpu, task, op)
-        elif isinstance(op, ExitProgram):
-            self._exit_task(task, op.code)
-            self._schedule(vcpu)
-        elif isinstance(op, FaultPoint):
-            self._at_fault_point(vcpu, task, op)
-        elif isinstance(op, LockAcquire):
-            self._lock_acquire(vcpu, task, op)
-        elif isinstance(op, LockRelease):
-            self._lock_release(vcpu, task, op)
-        elif isinstance(op, DiskRequest):
-            self._disk_request(vcpu, task, op)
-        elif isinstance(op, BlockOn):
-            self._block_current(vcpu, task, op.channel, op.timeout_ns)
-        elif isinstance(op, PortIo):
-            vcpu.guest_io(op.port, op.direction, value=op.value)
-        elif isinstance(op, KMemWrite):
-            self._kmem_access(vcpu, task, op.gva, op.value)
-        elif isinstance(op, KMemRead):
-            task.send_value = self._kmem_access(vcpu, task, op.gva, None)
-        else:
+        handler = self._OP_HANDLERS.get(type(op))
+        if handler is None:
             raise SimulationError(f"unknown guest op {op!r}")
+        handler(self, vcpu, task, op)
+
+    def _op_compute(self, vcpu: VCPU, task: Task, op: Any) -> None:
+        vcpu.charge(op.ns)
+
+    def _op_exit_program(self, vcpu: VCPU, task: Task, op: ExitProgram) -> None:
+        self._exit_task(task, op.code)
+        self._schedule(vcpu)
+
+    def _op_block_on(self, vcpu: VCPU, task: Task, op: BlockOn) -> None:
+        self._block_current(vcpu, task, op.channel, op.timeout_ns)
+
+    def _op_port_io(self, vcpu: VCPU, task: Task, op: PortIo) -> None:
+        vcpu.guest_io(op.port, op.direction, value=op.value)
+
+    def _op_kmem_write(self, vcpu: VCPU, task: Task, op: KMemWrite) -> None:
+        self._kmem_access(vcpu, task, op.gva, op.value)
+
+    def _op_kmem_read(self, vcpu: VCPU, task: Task, op: KMemRead) -> None:
+        task.send_value = self._kmem_access(vcpu, task, op.gva, None)
 
     def _kmem_access(self, vcpu: VCPU, task: Task, gva: int, value):
         """/dev/kmem access: root-only guest reads/writes of kernel
@@ -924,6 +924,23 @@ class GuestKernel:
         task.state = TaskState.UNINTERRUPTIBLE
         task.wait_channel = "disk"
         self._disk_waiters.append(task)
+
+    #: Guest op type (exact, no subclasses) -> handler, called as
+    #: ``handler(self, vcpu, task, op)``.
+    _OP_HANDLERS: Dict[type, Callable[..., None]] = {
+        Compute: _op_compute,
+        KCompute: _op_compute,
+        Syscall: _enter_syscall,
+        ExitProgram: _op_exit_program,
+        FaultPoint: _at_fault_point,
+        LockAcquire: _lock_acquire,
+        LockRelease: _lock_release,
+        DiskRequest: _disk_request,
+        BlockOn: _op_block_on,
+        PortIo: _op_port_io,
+        KMemWrite: _op_kmem_write,
+        KMemRead: _op_kmem_read,
+    }
 
 
 # ======================================================================

@@ -41,6 +41,11 @@ class TaskState(enum.Enum):
         }[self]
 
 
+#: States in which a task can be picked to run.  A tuple: ``in`` finds
+#: a member by identity without calling ``Enum.__hash__``.
+_RUNNABLE_STATES = (TaskState.RUNNABLE, TaskState.RUNNING, TaskState.SPINNING)
+
+
 class MmHandle:
     """Python handle over a guest mm_struct + its address space."""
 
@@ -128,7 +133,7 @@ class Task:
         return self.frames[-1] if self.frames else None
 
     def runnable(self) -> bool:
-        return self.state in (TaskState.RUNNABLE, TaskState.RUNNING, TaskState.SPINNING)
+        return self.state in _RUNNABLE_STATES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

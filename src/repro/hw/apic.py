@@ -31,6 +31,8 @@ class LocalApic:
         #: Guests can mask interrupts (CLI); the timer still fires but
         #: delivery is deferred by the executor, so we keep queueing.
         self.enabled = False
+        #: Schedule label, built once rather than per tick.
+        self._label = f"apic-timer-vcpu{vcpu.index}"
 
     def start(self) -> None:
         if self.enabled:
@@ -46,7 +48,7 @@ class LocalApic:
 
     def _schedule_next(self) -> None:
         self._event = self.engine.schedule(
-            self.period_ns, self._fire, label=f"apic-timer-vcpu{self.vcpu.index}"
+            self.period_ns, self._fire, label=self._label
         )
 
     def _fire(self) -> None:

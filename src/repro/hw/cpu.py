@@ -74,19 +74,22 @@ class VCPU:
         self, reason: ExitReason, qualification: Dict[str, Any]
     ) -> VMExit:
         """Transition to host mode, dispatch the exit, return to guest."""
+        machine = self.machine
+        # Positional: reason, vcpu_index, time_ns, qualification,
+        # guest_state, sequence.
         exit_event = VMExit(
-            reason=reason,
-            vcpu_index=self.index,
-            time_ns=self.machine.clock.now + self._pending_charge_ns,
-            qualification=qualification,
-            guest_state=self.regs.snapshot(),
-            sequence=self.machine.next_exit_sequence(),
+            reason,
+            self.index,
+            machine.clock.now + self._pending_charge_ns,
+            qualification,
+            self.regs.snapshot(),
+            machine.next_exit_sequence(),
         )
         self.vmcs.record_exit(exit_event)
         self.exit_counts[reason] += 1
         self.mode = CpuMode.HOST
-        self.charge(self.machine.costs.vm_exit_roundtrip_ns)
-        action = self.machine.dispatch_exit(self, exit_event)
+        self.charge(machine.costs.vm_exit_roundtrip_ns)
+        action = machine.dispatch_exit(self, exit_event)
         self.mode = CpuMode.GUEST
         if action is not None:
             exit_event.qualification.setdefault("action", action)

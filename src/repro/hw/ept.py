@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hw.exits import MemAccess
-from repro.hw.memory import PAGE_SHIFT, page_number, page_offset
+from repro.hw.memory import PAGE_OFFSET_MASK, PAGE_SHIFT, page_number, page_offset
 
 
 @dataclass
@@ -42,9 +42,14 @@ class EptViolationSignal(Exception):
     """
 
     def __init__(self, gpa: int, access: MemAccess) -> None:
-        super().__init__(f"EPT violation at GPA {gpa:#x} ({access.value})")
+        # The message is formatted only if someone asks for it: the
+        # vCPU catches every signal on the guest's memory path.
+        super().__init__(gpa, access)
         self.gpa = gpa
         self.access = access
+
+    def __str__(self) -> str:
+        return f"EPT violation at GPA {self.gpa:#x} ({self.access.value})"
 
 
 class ExtendedPageTable:
@@ -160,13 +165,19 @@ class ExtendedPageTable:
 
         Raises :class:`EptViolationSignal` on a disallowed access.
         """
-        entry = self._entry(page_number(gpa))
+        gfn = gpa >> PAGE_SHIFT
+        entry = self._entries.get(gfn)
+        if entry is None:
+            entry = self._entry(gfn)
         if not entry.allows(access):
             self.violations += 1
             raise EptViolationSignal(gpa, access)
-        return (entry.hfn << PAGE_SHIFT) | page_offset(gpa)
+        return (entry.hfn << PAGE_SHIFT) | (gpa & PAGE_OFFSET_MASK)
 
     def translate_nofault(self, gpa: int) -> int:
         """Permission-free translation for hypervisor emulation paths."""
-        entry = self._entry(page_number(gpa))
-        return (entry.hfn << PAGE_SHIFT) | page_offset(gpa)
+        gfn = gpa >> PAGE_SHIFT
+        entry = self._entries.get(gfn)
+        if entry is None:
+            entry = self._entry(gfn)
+        return (entry.hfn << PAGE_SHIFT) | (gpa & PAGE_OFFSET_MASK)

@@ -9,6 +9,7 @@ trapped operation is a configuration error.
 
 from __future__ import annotations
 
+import struct  # hypertap: allow(determinism) — guest memory word packing, not trace records
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -131,19 +132,22 @@ class Machine:
         return self.memory.read_bytes(self.ept.translate_nofault(gpa), length)
 
     def host_read_u64_gva(self, pdba: int, gva: int) -> int:
-        import struct  # hypertap: allow(determinism) — guest memory word packing, not trace records
-
-        return struct.unpack("<Q", self.host_read_gva(pdba, gva, 8))[0]
+        gpa = self.page_registry.gva_to_gpa(pdba, gva)
+        if gpa < 0:
+            raise SimulationError(f"host read of unmapped GVA {gva:#x}")
+        return self.memory.read_u64(self.ept.translate_nofault(gpa))
 
     def host_write_u64_gva(self, pdba: int, gva: int, value: int) -> None:
-        import struct  # hypertap: allow(determinism) — guest memory word packing, not trace records
-
         gpa = self.page_registry.gva_to_gpa(pdba, gva)
         if gpa < 0:
             raise SimulationError(f"host write of unmapped GVA {gva:#x}")
-        self.memory.write_bytes(
-            self.ept.translate_nofault(gpa), struct.pack("<Q", value)
-        )
+        hpa = self.ept.translate_nofault(gpa)
+        if type(value) is int and 0 <= value <= 0xFFFFFFFFFFFFFFFF:
+            self.memory.write_u64(hpa, value)
+        else:
+            # Unlike ``write_u64`` this never masks: anything that is
+            # not a u64 raises ``struct.error``, as it always has.
+            self.memory.write_bytes(hpa, struct.pack("<Q", value))
 
     # ------------------------------------------------------------------
     # Power control

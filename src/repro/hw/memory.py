@@ -17,6 +17,13 @@ from repro.errors import SimulationError
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+#: ``addr & PAGE_OFFSET_MASK`` is ``page_offset(addr)``; hot paths
+#: inline the page arithmetic instead of calling the helpers.
+PAGE_OFFSET_MASK = PAGE_SIZE - 1
+
+_U64 = struct.Struct("<Q")
+#: Highest frame offset at which a whole u64 still fits in the frame.
+_LAST_U64_OFFSET = PAGE_SIZE - 8
 
 
 def page_number(addr: int) -> int:
@@ -26,7 +33,7 @@ def page_number(addr: int) -> int:
 
 def page_offset(addr: int) -> int:
     """Offset of ``addr`` within its frame."""
-    return addr & (PAGE_SIZE - 1)
+    return addr & PAGE_OFFSET_MASK
 
 
 def page_base(addr: int) -> int:
@@ -73,8 +80,8 @@ class PhysicalMemory:
         remaining = length
         cursor = addr
         while remaining > 0:
-            fr = self.frame(page_number(cursor))
-            off = page_offset(cursor)
+            fr = self.frame(cursor >> PAGE_SHIFT)
+            off = cursor & PAGE_OFFSET_MASK
             chunk = min(remaining, PAGE_SIZE - off)
             out += fr[off : off + chunk]
             cursor += chunk
@@ -86,8 +93,8 @@ class PhysicalMemory:
         cursor = addr
         src = 0
         while remaining > 0:
-            fr = self.frame(page_number(cursor))
-            off = page_offset(cursor)
+            fr = self.frame(cursor >> PAGE_SHIFT)
+            off = cursor & PAGE_OFFSET_MASK
             chunk = min(remaining, PAGE_SIZE - off)
             fr[off : off + chunk] = data[src : src + chunk]
             cursor += chunk
@@ -97,11 +104,27 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     # Word helpers (little-endian, like x86)
     # ------------------------------------------------------------------
+    # A word inside one resident frame is read or written in place;
+    # every other word (crossing a frame, in a frame not yet touched,
+    # outside RAM) takes the byte path, which materializes and bounds-
+    # checks frames.  Only valid frame numbers are ever resident.
     def read_u64(self, addr: int) -> int:
-        return struct.unpack("<Q", self.read_bytes(addr, 8))[0]
+        off = addr & PAGE_OFFSET_MASK
+        if off <= _LAST_U64_OFFSET:
+            fr = self._frames.get(addr >> PAGE_SHIFT)
+            if fr is not None:
+                return _U64.unpack_from(fr, off)[0]
+        return _U64.unpack(self.read_bytes(addr, 8))[0]
 
     def write_u64(self, addr: int, value: int) -> None:
-        self.write_bytes(addr, struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF))
+        value &= 0xFFFFFFFFFFFFFFFF
+        off = addr & PAGE_OFFSET_MASK
+        if off <= _LAST_U64_OFFSET:
+            fr = self._frames.get(addr >> PAGE_SHIFT)
+            if fr is not None:
+                _U64.pack_into(fr, off, value)
+                return
+        self.write_bytes(addr, _U64.pack(value))
 
     def read_u32(self, addr: int) -> int:
         return struct.unpack("<I", self.read_bytes(addr, 4))[0]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional
 
 from repro.errors import GuestPageFault, SimulationError
-from repro.hw.memory import PAGE_SHIFT, page_number, page_offset
+from repro.hw.memory import PAGE_OFFSET_MASK, PAGE_SHIFT, page_number
 
 #: Sentinel returned by host-side translation when a GVA is unmapped.
 UNMAPPED_GVA = -1
@@ -31,16 +31,16 @@ class KernelPageTable:
         self._map: Dict[int, int] = {}  # vpn -> gpn
 
     def map_page(self, gva: int, gpa: int) -> None:
-        self._map[page_number(gva)] = page_number(gpa)
+        self._map[gva >> PAGE_SHIFT] = gpa >> PAGE_SHIFT
 
     def unmap_page(self, gva: int) -> None:
         self._map.pop(page_number(gva), None)
 
     def lookup(self, gva: int) -> Optional[int]:
-        gpn = self._map.get(page_number(gva))
+        gpn = self._map.get(gva >> PAGE_SHIFT)
         if gpn is None:
             return None
-        return (gpn << PAGE_SHIFT) | page_offset(gva)
+        return (gpn << PAGE_SHIFT) | (gva & PAGE_OFFSET_MASK)
 
     def __len__(self) -> int:
         return len(self._map)
@@ -71,9 +71,9 @@ class AddressSpace:
         """GVA -> GPA, or ``None`` if unmapped."""
         if not self.live:
             return None
-        gpn = self._user_map.get(page_number(gva))
+        gpn = self._user_map.get(gva >> PAGE_SHIFT)
         if gpn is not None:
-            return (gpn << PAGE_SHIFT) | page_offset(gva)
+            return (gpn << PAGE_SHIFT) | (gva & PAGE_OFFSET_MASK)
         return self.kernel.lookup(gva)
 
     @property

@@ -9,7 +9,7 @@ parameters, exactly as the interception algorithms of Fig 3 read them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 from repro.hw.exits import GuestStateSnapshot
 
@@ -49,6 +49,14 @@ class RegisterFile:
     gprs: Dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in GPR_NAMES}
     )
+    #: One-entry snapshot cache: the values the last snapshot saved
+    #: (in ``GuestStateSnapshot`` field order) and that snapshot.
+    _saved: Tuple[int, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _last_snapshot: Optional[GuestStateSnapshot] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def write_gpr(self, name: str, value: int) -> None:
         if name not in self.gprs:
@@ -61,18 +69,23 @@ class RegisterFile:
         return self.gprs[name]
 
     def snapshot(self) -> GuestStateSnapshot:
-        """Immutable copy of the monitor-relevant state (exit-time save)."""
+        """Immutable copy of the monitor-relevant state (exit-time save).
+
+        Most exits save the same state as the exit before them on this
+        vCPU, so the last snapshot is kept with its saved values and
+        handed out again while they are unchanged.  Snapshots are frozen
+        values: sharing one between exits is invisible to anything that
+        reads them.
+        """
         g = self.gprs
-        return GuestStateSnapshot(
-            cr3=self.cr3,
-            tr_base=self.tr_base,
-            rsp=self.rsp,
-            rip=self.rip,
-            rax=g["rax"],
-            rbx=g["rbx"],
-            rcx=g["rcx"],
-            rdx=g["rdx"],
-            rsi=g["rsi"],
-            rdi=g["rdi"],
-            cpl=self.cpl,
+        saved = (
+            self.cr3, self.tr_base, self.rsp, self.rip,
+            g["rax"], g["rbx"], g["rcx"], g["rdx"], g["rsi"], g["rdi"],
+            self.cpl,
         )
+        if saved == self._saved:
+            return self._last_snapshot
+        snap = GuestStateSnapshot(*saved)
+        self._saved = saved
+        self._last_snapshot = snap
+        return snap

@@ -62,12 +62,17 @@ class EventForwarder:
         return cell
 
     def on_vm_exit(self, vm_id: str, vcpu: VCPU, exit_event: VMExit) -> None:
-        costs = vcpu.machine.costs
-        interested = self.multiplexer.interest_count(vm_id, exit_event.reason)
+        reason = exit_event.reason
+        interested = self.multiplexer.interest_count(vm_id, reason)
         if interested == 0:
+            # Most exits end here: count them off the cached cell.
             self.suppressed += 1
-            self._cell("ef.suppressed", vm_id, exit_event.reason).value += 1
+            cell = self._cells.get(("ef.suppressed", vm_id, reason))
+            if cell is None:
+                cell = self._cell("ef.suppressed", vm_id, reason)
+            cell.value += 1
             return
+        costs = vcpu.machine.costs
         if self.mode == "unified":
             vcpu.charge(costs.ef_forward_ns + costs.em_enqueue_ns)
         else:
@@ -80,6 +85,6 @@ class EventForwarder:
                 + extra * costs.vm_exit_roundtrip_ns
             )
         self.forwarded += 1
-        self._cell("ef.forwarded", vm_id, exit_event.reason).value += 1
+        self._cell("ef.forwarded", vm_id, reason).value += 1
         self.multiplexer.metrics.host_hop("ef", exit_event.time_ns)
         self.multiplexer.submit(vm_id, vcpu, exit_event)

@@ -63,30 +63,31 @@ class KvmHypervisor:
 
     # ------------------------------------------------------------------
     def handle_exit(self, vcpu: VCPU, exit_event: VMExit) -> ExitAction:
+        reason = exit_event.reason
         self.handled_exits += 1
-        self.exit_counts[exit_event.reason] += 1
-        cell = self._exit_cells.get(exit_event.reason)
+        self.exit_counts[reason] += 1
+        cell = self._exit_cells.get(reason)
         if cell is None:
             cell = self.metrics.counter(
-                "exits", vm=self.vm_id, reason=exit_event.reason.value
+                "exits", vm=self.vm_id, reason=reason.value
             )
-            self._exit_cells[exit_event.reason] = cell
+            self._exit_cells[reason] = cell
         cell.value += 1
         vcpu.charge(self.machine.costs.exit_emulation_ns)
 
         # HyperTap hook: forward before the operation is emulated, so
         # auditors see events *before* their effects (active monitoring
         # can veto by pausing the VM).
-        if self.event_forwarder is not None:
+        forwarder = self.event_forwarder
+        if forwarder is not None:
             # Host-hop trace prefix: spans opened for this exit's
             # derived events inherit the exit->EF->EM path (live-only
             # context; the pipeline-scope export strips it).
-            self.metrics.host_begin(
-                "exit", exit_event.time_ns, exit_event.reason.value
-            )
-            self.event_forwarder.on_vm_exit(self.vm_id, vcpu, exit_event)
+            metrics = self.metrics
+            if metrics.tracing:
+                metrics.host_begin("exit", exit_event.time_ns, reason.value)
+            forwarder.on_vm_exit(self.vm_id, vcpu, exit_event)
 
-        reason = exit_event.reason
         if reason is ExitReason.IO_INSTRUCTION:
             result = self.machine.io_bus.access(
                 vcpu,

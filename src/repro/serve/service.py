@@ -226,6 +226,7 @@ class StreamService:
                     done = True
                 for line in lines:
                     frames_in.inc()
+                    bytes_in.inc(len(line) + eol)
                     if not greeted:
                         hello = expect(decode_frame(line), "hello")
                         if hello.get("version") != PROTOCOL_VERSION:
@@ -243,7 +244,6 @@ class StreamService:
                         )
                         greeted = True
                         continue
-                    bytes_in.inc(len(line) + eol)
                     frame = decode_frame(line)
                     kind = frame["kind"]
                     if kind == "rec":

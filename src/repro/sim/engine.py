@@ -107,12 +107,13 @@ class Engine:
         label: str = "",
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute time ``t_ns``."""
-        if t_ns < self.clock.now:
+        now = self.clock.now
+        if t_ns < now:
             raise SimulationError(
                 f"cannot schedule event in the past "
-                f"({t_ns} < now {self.clock.now})"
+                f"({t_ns} < now {now})"
             )
-        return self._push(int(t_ns), callback, args, label)
+        return self.schedule(int(t_ns) - now, callback, *args, label=label)
 
     def schedule(
         self,
@@ -121,19 +122,20 @@ class Engine:
         *args: Any,
         label: str = "",
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` after a relative delay."""
+        """Schedule ``callback(*args)`` after a relative delay.
+
+        This is the one push into the heap (``schedule_at`` comes here
+        too); the guest executor calls it once per step, so it does the
+        push itself rather than through a helper.
+        """
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
-        return self._push(self.clock.now + int(delay_ns), callback, args, label)
-
-    def _push(
-        self, when: int, callback: Callable[..., Any], args: tuple, label: str
-    ) -> ScheduledEvent:
+        now = self.clock.now
+        when = now + int(delay_ns)
         prio = 0
         drop = False
         policy = self.schedule_policy
         if policy is not None:
-            now = self.clock.now
             when, prio, drop = policy.on_schedule(when, label, now)
             when = max(int(when), now)
         seq = self._seq

@@ -78,3 +78,61 @@ class TestPhysicalMemory:
     def test_fresh_memory_is_zero(self):
         mem = PhysicalMemory(1024 * 1024)
         assert mem.read_u64(512) == 0
+
+
+class TestU64InPlace:
+    """``read_u64``/``write_u64`` work in place on a word inside one
+    resident frame; every other word must behave as the byte path does."""
+
+    @pytest.mark.parametrize("off", range(PAGE_SIZE - 8, PAGE_SIZE))
+    @pytest.mark.parametrize("resident", [False, True])
+    def test_words_up_to_the_frame_end(self, off, resident):
+        mem = PhysicalMemory(PAGE_SIZE * 4)
+        if resident:
+            mem.write_bytes(PAGE_SIZE, b"\xff" * (2 * PAGE_SIZE))
+        addr = PAGE_SIZE + off
+        value = 0x0102030405060708
+        mem.write_u64(addr, value)
+        assert mem.read_u64(addr) == value
+        assert mem.read_bytes(addr, 8) == value.to_bytes(8, "little")
+        # A word past offset 4088 spills into the next frame.
+        crosses = off > PAGE_SIZE - 8
+        assert mem.resident_frames == (2 if resident or crosses else 1)
+        if resident:
+            assert mem.read_bytes(addr - 1, 1) == b"\xff"
+            assert mem.read_bytes(addr + 8, 1) == b"\xff"
+
+    def test_read_of_an_untouched_frame_materializes_it(self):
+        mem = PhysicalMemory(PAGE_SIZE * 4)
+        mem.write_u64(0, 1)
+        assert mem.read_u64(2 * PAGE_SIZE + 16) == 0
+        assert mem.resident_frames == 2
+        assert mem.read_u64(2 * PAGE_SIZE + 24) == 0
+        assert mem.resident_frames == 2
+
+    @pytest.mark.parametrize("addr", [
+        PAGE_SIZE * 4, PAGE_SIZE * 4 + 8, PAGE_SIZE * 4 - 4, PAGE_SIZE * 9, -8,
+    ])
+    def test_words_past_ram_still_raise(self, addr):
+        mem = PhysicalMemory(PAGE_SIZE * 4)
+        mem.write_bytes(0, b"\x00" * (4 * PAGE_SIZE))  # every frame resident
+        with pytest.raises(SimulationError):
+            mem.read_u64(addr)
+        with pytest.raises(SimulationError):
+            mem.write_u64(addr, 1)
+
+    @pytest.mark.parametrize("value, stored", [
+        (2**64, 0),
+        (2**64 + 5, 5),
+        (2**70 + 2**64 - 1, 2**64 - 1),
+        (-1, 2**64 - 1),
+        (-(2**64) - 3, 2**64 - 3),
+    ])
+    @pytest.mark.parametrize("addr", [64, PAGE_SIZE - 4])
+    def test_values_are_masked(self, value, stored, addr):
+        for resident in (False, True):
+            mem = PhysicalMemory(PAGE_SIZE * 4)
+            if resident:
+                mem.write_u64(addr, 7)
+            mem.write_u64(addr, value)
+            assert mem.read_u64(addr) == stored

@@ -389,7 +389,7 @@ class TestFraming:
         assert decode_frame(replies[-4])["reproduced"] is True
         assert decode_frame(replies[-3])["lines"]
         assert host_rows(decode_frame(replies[-2]))
-        assert host == [len(wire) + 1, len(blob) - len(HELLO)]
+        assert host == [len(wire) + 1, len(blob)]
         ways = {
             "one write": [blob],
             "hello pipelined with stream-open": [HELLO + wire[0], *wire[1:]],
@@ -406,7 +406,7 @@ class TestFraming:
         replies, host = self.pushed(tmp_path, [HELLO + last])
         welcome, export = (decode_frame(line) for line in replies)
         assert (welcome["kind"], export["kind"]) == ("welcome", "export-result")
-        assert host == [2, len(last)]
+        assert host == [2, len(HELLO) + len(last)]
 
 
 @pytest.mark.parametrize(

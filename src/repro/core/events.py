@@ -8,9 +8,11 @@ EPT-qualified addresses, never from guest self-reporting.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Dict, Optional, Sequence, Tuple, Type
 
 from repro.errors import TraceFormatError
 from repro.hw.exits import ExitAction, ExitReason, GuestStateSnapshot, MemAccess
@@ -73,12 +75,6 @@ _QUAL_ENUMS: Dict[str, type] = {
 }
 
 
-def _require_int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TraceFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _snapshot_to_record(snap: Optional[GuestStateSnapshot]):
     """Positional list in ``_SNAPSHOT_FIELDS`` order (compact + fast)."""
     if snap is None:
@@ -86,25 +82,13 @@ def _snapshot_to_record(snap: Optional[GuestStateSnapshot]):
     return [getattr(snap, name) for name in _SNAPSHOT_FIELDS]
 
 
-def _snapshot_from_record(record: Any) -> Optional[GuestStateSnapshot]:
-    if record is None:
-        return None
-    if type(record) is list:
-        if len(record) != len(_SNAPSHOT_FIELDS):
-            raise TraceFormatError(
-                f"hw snapshot needs {len(_SNAPSHOT_FIELDS)} values, "
-                f"got {len(record)}"
-            )
-        values = record
-    elif isinstance(record, dict):
-        # Tolerated for hand-written records: keyed form.
-        try:
-            values = [record[name] for name in _SNAPSHOT_FIELDS]
-        except KeyError as exc:
-            raise TraceFormatError(f"hw snapshot missing field {exc}") from exc
-    else:
+def snapshot_of(values: Sequence[Any]) -> GuestStateSnapshot:
+    """The one hw snapshot builder: 11 ints in ``_SNAPSHOT_FIELDS``
+    order, or :class:`TraceFormatError`."""
+    if len(values) != len(_SNAPSHOT_FIELDS):
         raise TraceFormatError(
-            f"hw snapshot must be a list or dict, got {record!r}"
+            f"hw snapshot needs {len(_SNAPSHOT_FIELDS)} values, "
+            f"got {len(values)}"
         )
     # One C-speed scan instead of a Python loop over 11 fields: map the
     # type constructor across the values and compare against the
@@ -118,8 +102,15 @@ def _snapshot_from_record(record: Any) -> Optional[GuestStateSnapshot]:
     # Frozen-dataclass __init__ routes every field through
     # object.__setattr__; building the immutable value directly keeps
     # trace decoding off that slow path (this is the replay hot loop).
+    # One unpacking store, in ``_SNAPSHOT_FIELDS`` order, is faster
+    # than ``__dict__.update(zip(...))``.
     snap = object.__new__(GuestStateSnapshot)
-    snap.__dict__.update(zip(_SNAPSHOT_FIELDS, values))
+    fields = snap.__dict__
+    (
+        fields["cr3"], fields["tr_base"], fields["rsp"], fields["rip"],
+        fields["rax"], fields["rbx"], fields["rcx"], fields["rdx"],
+        fields["rsi"], fields["rdi"], fields["cpl"],
+    ) = values
     return snap
 
 
@@ -154,11 +145,33 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
-def _decode_dict(value: Any, what: str) -> Dict[str, Any]:
+# ----------------------------------------------------------------------
+# Payload field kinds: a check takes one record value and returns the
+# attribute value, or raises TraceFormatError naming the record key.
+# ----------------------------------------------------------------------
+def _reject(what: str) -> Callable[[Any, str], Any]:
+    """The check of a kind whose values are exactly one type: the
+    decoder accepts that type without a call, so this sees the rest."""
+    def check(value: Any, key: str) -> Any:
+        raise TraceFormatError(f"{key} must be {what}, got {value!r}")
+    return check
+
+
+def _ints(value: Any, key: str) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TraceFormatError(f"{key} must be a list, got {value!r}")
+    for item in value:
+        if type(item) is not int:
+            raise TraceFormatError(f"{key} must be integers, got {item!r}")
+    return tuple(value)
+
+
+def _json(value: Any, key: str) -> Dict[str, Any]:
+    """A fresh dict (no two events share one), ``$enum`` tags decoded."""
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise TraceFormatError(f"{what} must be a dict, got {value!r}")
+        raise TraceFormatError(f"{key} must be a dict, got {value!r}")
     # Scalar values (the common case) need no recursive decoding: one
     # cheap scan, then a C-speed copy.
     for v in value.values():
@@ -170,6 +183,57 @@ def _decode_dict(value: Any, what: str) -> Dict[str, Any]:
     return dict(value)
 
 
+def _reason(value: Any, key: str) -> ExitReason:
+    try:
+        return ExitReason(value)
+    except ValueError as exc:
+        raise TraceFormatError(f"{key}: {exc}") from exc
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+#: Field kind -> (encode: attribute -> record value, the one type
+#: accepted as is, or None, check: record value -> attribute).  Ints
+#: are ``int`` exactly, never ``bool``, as in snapshots and tasks.
+_KINDS: Dict[str, Tuple[Callable[[Any], Any], Any, Callable[[Any, str], Any]]] = {
+    "int": (_same, int, _reject("an integer")),
+    "str": (_same, str, _reject("a string")),
+    "ints": (list, None, _ints),
+    "json": (_encode_value, None, _json),
+    "reason": (attrgetter("value"), None, _reason),
+}
+
+
+def _compile_decoder(cls: Type["GuestEvent"]) -> Callable[..., "GuestEvent"]:
+    """The one payload decoder of ``cls``, built from its ``CODEC``.
+
+    ``decode(time_ns, vcpu_index, vm_id, hw_state, values)`` takes
+    checked common fields and the raw payload ``values`` (any iterable,
+    read once) in ``CODEC`` order, checks each value by its kind and
+    sets the event's fields.
+    """
+    plan = tuple(
+        (attr, key, _KINDS[kind][2], _KINDS[kind][1])
+        for key, attr, kind in cls.CODEC
+    )
+    new = object.__new__
+
+    def decode(time_ns, vcpu_index, vm_id, hw_state, values):
+        event = new(cls)
+        fields = event.__dict__
+        fields["time_ns"] = time_ns
+        fields["vcpu_index"] = vcpu_index
+        fields["vm_id"] = vm_id
+        fields["hw_state"] = hw_state
+        for (attr, key, check, fast), value in zip(plan, values):
+            fields[attr] = value if type(value) is fast else check(value, key)
+        return event
+
+    return decode
+
+
 @dataclass
 class GuestEvent:
     """Base event: timestamp, vCPU, and the hardware state snapshot."""
@@ -179,6 +243,23 @@ class GuestEvent:
     vm_id: str
     hw_state: GuestStateSnapshot
 
+    #: Payload fields, ``(record key, attribute, kind)`` in btrace
+    #: layout order, which is also the dataclass field order (so a
+    #: decoded event's ``__dict__`` is laid out as ``__init__`` lays it
+    #: out); the kinds are the keys of ``_KINDS``.  The one codec of
+    #: every container is built from this table.
+    CODEC: ClassVar[Tuple[Tuple[str, str, str], ...]] = ()
+
+    #: The ``CODEC`` record keys, and the dataclass default of each in
+    #: record form; set at import for registered classes.
+    RECORD_KEYS: ClassVar[Tuple[str, ...]]
+    RECORD_DEFAULTS: ClassVar[Tuple[Any, ...]]
+
+    #: The per-type payload decoder (see ``_compile_decoder``); set at
+    #: import for registered classes.  Every container builds events
+    #: through it.
+    from_values: ClassVar[Callable[..., "GuestEvent"]]
+
     @property
     def type(self) -> EventType:  # pragma: no cover - overridden
         return EventType.RAW_EXIT
@@ -187,8 +268,11 @@ class GuestEvent:
     # Codec (shared by the trace recorder and ``repro.replay``)
     # ------------------------------------------------------------------
     def payload(self) -> Dict[str, Any]:
-        """Subclass-specific fields, JSON-safe.  Overridden below."""
-        return {}
+        """The ``CODEC`` fields, JSON-safe, keyed by record key."""
+        return {
+            key: _KINDS[kind][0](getattr(self, attr))
+            for key, attr, kind in self.CODEC
+        }
 
     def to_record(self) -> Dict[str, Any]:
         """Serialize to a JSON-safe dict (see ``repro.replay.format``).
@@ -206,11 +290,6 @@ class GuestEvent:
         record.update(self.payload())
         return record
 
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        """Decode the subclass payload into constructor kwargs."""
-        return {}
-
     @staticmethod
     def from_record(record: Dict[str, Any]) -> "GuestEvent":
         """Decode any event class; raises :class:`TraceFormatError`."""
@@ -222,41 +301,26 @@ class GuestEvent:
             vcpu_index = record["vcpu"]
         except KeyError as exc:
             raise TraceFormatError(f"event record missing {exc}") from exc
-        # Cached dispatch: (class, bound payload decoder) per type value,
-        # so the replay hot loop pays one dict hit instead of a registry
-        # lookup plus a classmethod bind per record.
-        entry = (
-            _CODEC_DISPATCH.get(type_value)
-            if type(type_value) is str else None
-        )
-        if entry is None:
-            cls = (
-                EVENT_CLASSES.get(type_value)
-                if isinstance(type_value, (str, int)) else None
-            )
-            if cls is None:
-                raise TraceFormatError(f"unknown event type {type_value!r}")
-            entry = (cls, cls._from_payload)
-            if type(type_value) is str:
-                _CODEC_DISPATCH[type_value] = entry
-        cls, decode_payload = entry
+        cls = EVENT_CLASSES.get(type_value) if type(type_value) is str else None
+        if cls is None:
+            raise TraceFormatError(f"unknown event type {type_value!r}")
         if type(time_ns) is not int or time_ns < 0:
             raise TraceFormatError(f"bad timestamp {time_ns!r}")
         if type(vcpu_index) is not int:
             raise TraceFormatError(f"vcpu must be an integer, got {vcpu_index!r}")
-        vm_id = record.get("vm", "vm0")
+        get = record.get
+        vm_id = get("vm", "vm0")
         if not isinstance(vm_id, str):
             raise TraceFormatError(f"vm must be a string, got {vm_id!r}")
-        # Same decode-hot-path shortcut as _snapshot_from_record: the
-        # payload is already validated, so skip the generated __init__.
-        event = object.__new__(cls)
-        fields = event.__dict__
-        fields["time_ns"] = time_ns
-        fields["vcpu_index"] = vcpu_index
-        fields["vm_id"] = vm_id
-        fields["hw_state"] = _snapshot_from_record(record.get("hw"))
-        fields.update(decode_payload(record))
-        return event
+        hw = get("hw")
+        if hw is not None:
+            if type(hw) is not list:
+                raise TraceFormatError(f"hw snapshot must be a list, got {hw!r}")
+            hw = snapshot_of(hw)
+        return cls.from_values(
+            time_ns, vcpu_index, vm_id, hw,
+            map(get, cls.RECORD_KEYS, cls.RECORD_DEFAULTS),
+        )
 
 
 @dataclass
@@ -266,19 +330,11 @@ class ProcessSwitchEvent(GuestEvent):
     new_pdba: int = 0
     old_pdba: int = 0
 
+    CODEC = (("new_pdba", "new_pdba", "int"), ("old_pdba", "old_pdba", "int"))
+
     @property
     def type(self) -> EventType:
         return EventType.PROCESS_SWITCH
-
-    def payload(self) -> Dict[str, Any]:
-        return {"new_pdba": self.new_pdba, "old_pdba": self.old_pdba}
-
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "new_pdba": _require_int(record.get("new_pdba", 0), "new_pdba"),
-            "old_pdba": _require_int(record.get("old_pdba", 0), "old_pdba"),
-        }
 
 
 @dataclass
@@ -288,16 +344,11 @@ class ThreadSwitchEvent(GuestEvent):
 
     rsp0: int = 0
 
+    CODEC = (("rsp0", "rsp0", "int"),)
+
     @property
     def type(self) -> EventType:
         return EventType.THREAD_SWITCH
-
-    def payload(self) -> Dict[str, Any]:
-        return {"rsp0": self.rsp0}
-
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        return {"rsp0": _require_int(record.get("rsp0", 0), "rsp0")}
 
 
 @dataclass
@@ -305,36 +356,18 @@ class SyscallEvent(GuestEvent):
     """A system call entered the kernel (Fig 3D/E)."""
 
     number: int = 0
-    args: Tuple[int, ...] = ()
     mechanism: str = "sysenter"  # or "int80"
+    args: Tuple[int, ...] = ()
+
+    CODEC = (
+        ("nr", "number", "int"),
+        ("mechanism", "mechanism", "str"),
+        ("args", "args", "ints"),
+    )
 
     @property
     def type(self) -> EventType:
         return EventType.SYSCALL
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "nr": self.number,
-            "args": list(self.args),
-            "mechanism": self.mechanism,
-        }
-
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        args = record.get("args", [])
-        if not isinstance(args, (list, tuple)):
-            raise TraceFormatError(f"args must be a list, got {args!r}")
-        for a in args:
-            if type(a) is not int:
-                raise TraceFormatError(f"args must be integers, got {a!r}")
-        mechanism = record.get("mechanism", "sysenter")
-        if not isinstance(mechanism, str):
-            raise TraceFormatError(f"mechanism must be a string, got {mechanism!r}")
-        return {
-            "number": _require_int(record.get("nr", 0), "nr"),
-            "args": tuple(args),
-            "mechanism": mechanism,
-        }
 
 
 @dataclass
@@ -344,24 +377,13 @@ class IOEvent(GuestEvent):
     kind: str = "pio"  # "pio" | "interrupt" | "apic"
     detail: Dict[str, Any] = field(default_factory=dict)
 
+    # "io_kind", not "kind": trace records reserve "kind" for the
+    # record-kind envelope (header/event/scan/footer).
+    CODEC = (("io_kind", "kind", "str"), ("detail", "detail", "json"))
+
     @property
     def type(self) -> EventType:
         return EventType.IO
-
-    def payload(self) -> Dict[str, Any]:
-        # "io_kind", not "kind": trace records reserve "kind" for the
-        # record-kind envelope (header/event/scan/footer).
-        return {"io_kind": self.kind, "detail": _encode_value(self.detail)}
-
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        kind = record.get("io_kind", "pio")
-        if not isinstance(kind, str):
-            raise TraceFormatError(f"io_kind must be a string, got {kind!r}")
-        return {
-            "kind": kind,
-            "detail": _decode_dict(record.get("detail"), "detail"),
-        }
 
 
 @dataclass
@@ -372,23 +394,11 @@ class MemoryAccessEvent(GuestEvent):
     gpa: int = 0
     access: str = "w"
 
+    CODEC = (("gva", "gva", "int"), ("gpa", "gpa", "int"), ("access", "access", "str"))
+
     @property
     def type(self) -> EventType:
         return EventType.MEM_ACCESS
-
-    def payload(self) -> Dict[str, Any]:
-        return {"gva": self.gva, "gpa": self.gpa, "access": self.access}
-
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        access = record.get("access", "w")
-        if not isinstance(access, str):
-            raise TraceFormatError(f"access must be a string, got {access!r}")
-        return {
-            "gva": _require_int(record.get("gva", 0), "gva"),
-            "gpa": _require_int(record.get("gpa", 0), "gpa"),
-            "access": access,
-        }
 
 
 @dataclass
@@ -399,19 +409,11 @@ class TssIntegrityAlert(GuestEvent):
     saved_tr: int = 0
     current_tr: int = 0
 
+    CODEC = (("saved_tr", "saved_tr", "int"), ("current_tr", "current_tr", "int"))
+
     @property
     def type(self) -> EventType:
         return EventType.TSS_INTEGRITY
-
-    def payload(self) -> Dict[str, Any]:
-        return {"saved_tr": self.saved_tr, "current_tr": self.current_tr}
-
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "saved_tr": _require_int(record.get("saved_tr", 0), "saved_tr"),
-            "current_tr": _require_int(record.get("current_tr", 0), "current_tr"),
-        }
 
 
 @dataclass
@@ -421,35 +423,12 @@ class RawExitEvent(GuestEvent):
     reason: ExitReason = ExitReason.HLT
     qualification: Dict[str, Any] = field(default_factory=dict)
 
+    CODEC = (("reason", "reason", "reason"), ("qual", "qualification", "json"))
+
     @property
     def type(self) -> EventType:
         return EventType.RAW_EXIT
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "reason": self.reason.value,
-            "qual": _encode_value(self.qualification),
-        }
-
-    @classmethod
-    def _from_payload(cls, record: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            reason = ExitReason(record.get("reason", ExitReason.HLT.value))
-        except ValueError as exc:
-            raise TraceFormatError(str(exc)) from exc
-        return {
-            "reason": reason,
-            "qualification": _decode_dict(record.get("qual"), "qual"),
-        }
-
-
-#: Lazy decode-dispatch cache for :meth:`GuestEvent.from_record`:
-#: type value -> (class, payload decoder).  Populated exclusively from
-#: ``EVENT_CLASSES`` (the single registry below), never by hand, so it
-#: cannot drift from the codec.
-_CODEC_DISPATCH: Dict[
-    str, Tuple[Type["GuestEvent"], Callable[[Dict[str, Any]], Dict[str, Any]]]
-] = {}
 
 #: Serialized ``type`` value -> event class, for :meth:`GuestEvent.from_record`.
 EVENT_CLASSES: Dict[str, Type[GuestEvent]] = {
@@ -461,3 +440,18 @@ EVENT_CLASSES: Dict[str, Type[GuestEvent]] = {
     EventType.TSS_INTEGRITY.value: TssIntegrityAlert,
     EventType.RAW_EXIT.value: RawExitEvent,
 }
+
+
+def _record_default(f: dataclasses.Field) -> Any:
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return f.default
+
+
+for _cls in EVENT_CLASSES.values():
+    _defaults = {f.name: _record_default(f) for f in dataclasses.fields(_cls)}
+    _cls.RECORD_KEYS = tuple(key for key, _, _ in _cls.CODEC)
+    _cls.RECORD_DEFAULTS = tuple(
+        _KINDS[kind][0](_defaults[attr]) for _, attr, kind in _cls.CODEC
+    )
+    _cls.from_values = staticmethod(_compile_decoder(_cls))

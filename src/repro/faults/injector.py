@@ -69,9 +69,6 @@ class FaultInjector:
     def arm(self) -> None:
         self.armed = True
 
-    def disarm(self) -> None:
-        self.armed = False
-
     @property
     def activated(self) -> bool:
         return self.activations > 0

@@ -106,9 +106,6 @@ class VCPU:
             )
         self.regs.cr3 = int(value)
 
-    def guest_read_cr3(self) -> int:
-        return self.regs.cr3
-
     def guest_load_tr(self, base: int, selector: int = 0x40) -> None:
         """LTR — performed once per vCPU at guest boot."""
         self.regs.tr_base = int(base)
@@ -173,19 +170,6 @@ class VCPU:
         if hpa is None:
             return 0
         return self.machine.memory.read_u64(hpa)
-
-    def guest_mem_write_bytes(self, gva: int, data: bytes) -> None:
-        gpa = self._translate(gva, "w")
-        hpa = self._access_checked(gpa, MemAccess.WRITE, gva, None)
-        if hpa is not None:
-            self.machine.memory.write_bytes(hpa, data)
-
-    def guest_mem_read_bytes(self, gva: int, length: int) -> bytes:
-        gpa = self._translate(gva, "r")
-        hpa = self._access_checked(gpa, MemAccess.READ, gva, None)
-        if hpa is None:
-            return b"\x00" * length
-        return self.machine.memory.read_bytes(hpa, length)
 
     def guest_exec(self, gva: int) -> None:
         """Instruction fetch at ``gva`` (EPT execute check applies)."""

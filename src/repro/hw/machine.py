@@ -22,7 +22,6 @@ from repro.hw.exits import ExitAction, VMExit
 from repro.hw.io import ConsoleDevice, DiskDevice, IoBus, NetworkDevice
 from repro.hw.memory import PhysicalMemory
 from repro.hw.paging import PageTableRegistry
-from repro.sim.clock import MILLISECOND
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 
@@ -160,6 +159,3 @@ class Machine:
         for apic in self.apics:
             apic.stop()
 
-    def run_for_ms(self, ms: int) -> int:
-        """Convenience wrapper for tests: advance the machine."""
-        return self.engine.run_for(ms * MILLISECOND)

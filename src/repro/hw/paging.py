@@ -76,10 +76,6 @@ class AddressSpace:
             return (gpn << PAGE_SHIFT) | (gva & PAGE_OFFSET_MASK)
         return self.kernel.lookup(gva)
 
-    @property
-    def user_pages(self) -> int:
-        return len(self._user_map)
-
 
 class PageTableRegistry:
     """Machine-wide view of all live paging structures, keyed by PDBA."""

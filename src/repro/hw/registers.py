@@ -63,11 +63,6 @@ class RegisterFile:
             raise KeyError(f"unknown register {name!r}")
         self.gprs[name] = int(value) & 0xFFFFFFFFFFFFFFFF
 
-    def read_gpr(self, name: str) -> int:
-        if name not in self.gprs:
-            raise KeyError(f"unknown register {name!r}")
-        return self.gprs[name]
-
     def snapshot(self) -> GuestStateSnapshot:
         """Immutable copy of the monitor-relevant state (exit-time save).
 

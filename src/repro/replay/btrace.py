@@ -31,14 +31,15 @@ per-type payload, then optional hw (11 x u64), task and parent blocks
 comm/exe, reasons, canonical-JSON detail/qual) are table references;
 syscall arg vectors are packed u64 blobs.
 
-Replay reads eagerly: :meth:`BinaryTraceReader.iter_decoded` decodes
-each fixed-layout record, with one precompiled ``struct`` call, into
-the objects ``GuestEvent.from_record`` and ``task_from_record`` build
-from its dict.  The codec decodes the first record of each distinct
-payload from that dict; the records that repeat the payload reuse it
-and set their own fields directly.  Full record dicts are built only
-for consumers that ask (``Trace.records``, ``convert``), from the same
-decoded objects.
+The payload fields, their order and their kinds are each event
+class's ``CODEC`` table in :mod:`repro.core.events`; this module only
+says how each kind is packed.  Replay reads eagerly:
+:meth:`BinaryTraceReader.iter_decoded` unpacks each fixed-layout
+record with one precompiled ``struct`` call, resolves its references
+(once per distinct payload) and builds the event with the dict path's
+decoder: ``GuestEvent.from_record`` for the first record of each payload,
+its per-type payload decoder for the rest.  Record dicts are built only
+for consumers that ask (``Trace.records``, ``convert``), from events.
 
 The header line is stored *verbatim* (and the JSONL footer, when the
 source stream had one), so ``convert`` round-trips canonically-written
@@ -58,18 +59,19 @@ import json
 import mmap
 import struct
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type
 
 from repro.core.derive import DerivedTaskInfo
-from repro.core.events import EVENT_CLASSES, GuestEvent
+from repro.core.events import EVENT_CLASSES, GuestEvent, snapshot_of
 from repro.errors import TraceFormatError
-from repro.hw.exits import ExitReason, GuestStateSnapshot
+from repro.hw.exits import GuestStateSnapshot
 from repro.replay.format import (
     _TASK_FIELDS,
     KIND_EVENT,
     Trace,
     TraceHeader,
     event_to_record,
+    task_of,
 )
 
 #: First bytes of every btrace file.  Distinct from gzip (``\x1f\x8b``)
@@ -103,20 +105,21 @@ TYPE_CODES: Dict[str, int] = {
     "raw_exit": 7,
 }
 
-#: Per-type payload layouts: ``type value -> (struct format, field
-#: spec)``.  The event-coverage rule cross-checks this table's keys
-#: against ``EventType`` at commit time, so a new ``GuestEvent``
-#: subclass without a binary layout fails static analysis, not replay.
-#: Field kinds: ``u64`` raw int, ``str`` string-table ref, ``json``
-#: canonical-JSON string ref, ``blob`` u64-vector blob ref.
-BTRACE_LAYOUTS: Dict[str, Tuple[str, Tuple[Tuple[str, str], ...]]] = {
-    "process_switch": ("<QQ", (("new_pdba", "u64"), ("old_pdba", "u64"))),
-    "thread_switch": ("<Q", (("rsp0", "u64"),)),
-    "syscall": ("<QII", (("nr", "u64"), ("mechanism", "str"), ("args", "blob"))),
-    "io": ("<II", (("io_kind", "str"), ("detail", "json"))),
-    "mem_access": ("<QQI", (("gva", "u64"), ("gpa", "u64"), ("access", "str"))),
-    "tss_integrity": ("<QQ", (("saved_tr", "u64"), ("current_tr", "u64"))),
-    "raw_exit": ("<II", (("reason", "str"), ("qual", "json"))),
+#: Per-type payload struct formats, one character per ``CODEC`` field:
+#: ``Q`` a raw u64 (kind ``int``), ``I`` a u32 reference into the
+#: string table (``str``, ``reason``, and ``json`` as canonical JSON)
+#: or the blob table (``ints``, as packed u64s).  The event-coverage
+#: rule cross-checks this table's keys against ``EventType`` at commit
+#: time, so a new ``GuestEvent`` subclass without a binary layout fails
+#: static analysis, not replay.
+BTRACE_LAYOUTS: Dict[str, str] = {
+    "process_switch": "<QQ",
+    "thread_switch": "<Q",
+    "syscall": "<QII",
+    "io": "<II",
+    "mem_access": "<QQI",
+    "tss_integrity": "<QQ",
+    "raw_exit": "<II",
 }
 
 _TAG_ESCAPE = 0
@@ -127,16 +130,11 @@ _LEN32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _TRAILER = struct.Struct("<QQQQQ8s")  # count, strings, blobs, tail, index, magic
 
-_SNAPSHOT_FIELDS = (
-    "cr3", "tr_base", "rsp", "rip",
-    "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "cpl",
-)
-
 #: Exact key set of a fixed-layout event record, per type value.
 _CANONICAL_KEYS: Dict[str, frozenset] = {
     value: frozenset(
         {"kind", "t", "vcpu", "vm", "type", "hw"}
-        | {name for name, _ in BTRACE_LAYOUTS[value][1]}
+        | {key for key, _, _ in EVENT_CLASSES[value].CODEC}
     )
     for value in BTRACE_LAYOUTS
 }
@@ -195,11 +193,6 @@ class BinaryTraceWriter:
         head = header_line.encode("utf-8")
         self._write(MAGIC + _LEN32.pack(len(head)) + head)
 
-    @property
-    def strings_interned(self) -> int:
-        """Distinct strings in the interning table so far."""
-        return len(self._strings)
-
     # ------------------------------------------------------------------
     def _write(self, data: bytes) -> None:
         self._buffer.append(data)
@@ -238,8 +231,7 @@ class BinaryTraceWriter:
         field falls outside the layout domain (the JSON escape then
         preserves it losslessly)."""
         type_value = record.get("type")
-        layout = BTRACE_LAYOUTS.get(type_value)
-        if layout is None:
+        if type(type_value) is not str or type_value not in BTRACE_LAYOUTS:
             return None
         t = record.get("t")
         vcpu = record.get("vcpu")
@@ -259,23 +251,23 @@ class BinaryTraceWriter:
         ):
             return None
         values: List[int] = [t, vcpu, 0]
-        for name, kind in layout[1]:
-            value = record.get(name)
-            if kind == "u64":
+        for key, _, kind in EVENT_CLASSES[type_value].CODEC:
+            value = record.get(key)
+            if kind == "int":
                 if not _is_u64(value):
                     return None
-            elif kind == "str":
-                if type(value) is not str:
-                    return None
-                value = self._intern(value)
             elif kind == "json":
                 if type(value) is not dict:
                     return None
                 value = self._intern(_encode(value))
-            else:  # blob: a u64 vector
+            elif kind == "ints":
                 if type(value) is not list or not all(map(_is_u64, value)):
                     return None
                 value = self._intern_blob(b"".join(_U64.pack(v) for v in value))
+            else:  # str, reason
+                if type(value) is not str:
+                    return None
+                value = self._intern(value)
             values.append(value)
         if hw is not None:
             values += hw
@@ -403,11 +395,10 @@ class _Layout(NamedTuple):
     """
 
     value: str
-    cls: Any
+    cls: Type[GuestEvent]
     record: struct.Struct
     size: int  # whole record, tag byte included
-    keys: Tuple[str, ...]  # payload record keys, in layout order
-    kinds: Tuple[str, ...]  # their field kinds ("reason" for ExitReason)
+    kinds: Tuple[str, ...]  # the ``CODEC`` field kinds, in layout order
     payload: slice
     hw: Optional[slice]
     task: Optional[int]
@@ -427,9 +418,9 @@ def _layout(tag: int) -> Optional[_Layout]:
     value = _TYPE_OF_CODE.get(tag >> 3)
     if layout is not None or value is None:
         return layout
-    fmt, fields = BTRACE_LAYOUTS[value]
-    parts = "<QHI" + fmt[1:]
-    n = 3 + len(fields)
+    cls = EVENT_CLASSES[value]
+    parts = "<QHI" + BTRACE_LAYOUTS[value][1:]
+    n = 3 + len(cls.CODEC)
     hw = task = parent = None
     if tag & 4:
         parts += _HW.format[1:]
@@ -444,10 +435,9 @@ def _layout(tag: int) -> Optional[_Layout]:
         parent = n
     record = struct.Struct(parts)
     layout = _LAYOUTS[tag] = _Layout(
-        value, EVENT_CLASSES[value], record, 1 + record.size,
-        tuple(name for name, _ in fields),
-        tuple("reason" if name == "reason" else kind for name, kind in fields),
-        slice(3, 3 + len(fields)),
+        value, cls, record, 1 + record.size,
+        tuple(kind for _, _, kind in cls.CODEC),
+        slice(3, 3 + len(cls.CODEC)),
         hw, task, parent,
     )
     return layout
@@ -461,8 +451,9 @@ class BadReferenceError(TraceFormatError):
 
 
 #: What a reference that does not resolve raises while a record is
-#: decoded: an index past a table, a non-JSON or non-object string, an
-#: unknown exit reason, a ragged blob, or the payload codec's own check.
+#: decoded: an index past a table, a non-JSON or non-object string, a
+#: ragged blob, or the payload decoder's own check (an unknown exit
+#: reason, an unknown ``$enum`` tag).
 _BAD_REFERENCE = (IndexError, ValueError, struct.error, TraceFormatError)
 
 
@@ -508,7 +499,7 @@ class BinaryTraceReader:
         self.malformed_lines = 0
         self.records_read = 0
         # Decode caches, keyed by packed values (see _decode_at).
-        self._payloads: Dict[str, Dict[tuple, Dict[str, Any]]] = {
+        self._payloads: Dict[str, Dict[tuple, tuple]] = {
             value: {} for value in TYPE_CODES
         }
         self._snapshots: Dict[tuple, GuestStateSnapshot] = {}
@@ -695,59 +686,38 @@ class BinaryTraceReader:
         if remaining > 0:
             raise self._corrupt("record region ended early")
 
-    def _record(self, layout: _Layout, values: tuple) -> Dict[str, Any]:
-        """The record dict of one fixed-layout record, from its unpacked
-        ``values``, less its task annotations: table references
-        resolved, ``detail``/``qual`` parsed (they must be JSON objects),
-        the exit reason checked.  Raises one of :data:`_BAD_REFERENCE`
-        when a reference does not resolve."""
+    def _resolve(self, kinds: Tuple[str, ...], packed: tuple) -> tuple:
+        """The record values of one packed payload: string, blob and
+        JSON references resolved (a JSON reference must hold an object:
+        the writer interns nothing else).  Raises one of
+        :data:`_BAD_REFERENCE` when a reference does not resolve."""
         strings = self._strings
-        record: Dict[str, Any] = {
-            "t": values[0],
-            "vcpu": values[1],
-            "vm": strings[values[2]],
-            "type": layout.value,
-            "hw": None if layout.hw is None else list(values[layout.hw]),
-        }
-        for key, kind, value in zip(layout.keys, layout.kinds, values[3:]):
-            if kind == "u64":
-                record[key] = value
-            elif kind == "str":
-                record[key] = strings[value]
-            elif kind == "reason":
-                record[key] = ExitReason(strings[value]).value
-            elif kind == "json":
-                record[key] = json.loads(strings[value])
-                if type(record[key]) is not dict:
-                    raise ValueError(f"{key} is not a JSON object")
-            else:  # blob: a u64 vector
-                record[key] = [v for (v,) in _U64.iter_unpack(self._blobs[value])]
-        record["kind"] = KIND_EVENT
-        return record
-
-    def _snapshot(self, hw: tuple) -> GuestStateSnapshot:
-        """The hw snapshot of ``hw``; equal ones share one (frozen) object."""
-        snap = self._snapshots.get(hw)
-        if snap is None:
-            snap = self._snapshots[hw] = object.__new__(GuestStateSnapshot)
-            snap.__dict__.update(zip(_SNAPSHOT_FIELDS, hw))
-        return snap
+        values = []
+        for kind, value in zip(kinds, packed):
+            if kind == "json":
+                value = json.loads(strings[value])
+                if type(value) is not dict:
+                    raise ValueError("JSON reference is not an object")
+            elif kind == "ints":
+                value = [v for (v,) in _U64.iter_unpack(self._blobs[value])]
+            elif kind != "int":  # str, reason
+                value = strings[value]
+            values.append(value)
+        return tuple(values)
 
     def _task_info(self, values: tuple, i: Optional[int]) -> Optional[DerivedTaskInfo]:
-        """What task_from_record builds for the task block at
-        ``values[i:]``; equal blocks share one (frozen) object."""
+        """The task info of the task block at ``values[i:]``; equal
+        blocks share one (frozen) object."""
         if i is None:
             return None
         key = values[i : i + 8]
         info = self._tasks.get(key)
         if info is None:
             gva, pid, uid, euid, flags, parent_gva, comm, exe = key
-            info = object.__new__(DerivedTaskInfo)
-            info.__dict__.update(zip(_TASK_FIELDS, (
+            info = self._tasks[key] = task_of((
                 gva, pid, uid, euid,
                 self._strings[comm], self._strings[exe], flags, parent_gva,
-            )))
-            self._tasks[key] = info
+            ))
         return info
 
     def _decode_at(self, layout: _Layout, pos: int):
@@ -755,31 +725,33 @@ class BinaryTraceReader:
         task, parent)``, or the :class:`TraceFormatError` that replay
         counts when one of its references does not resolve.
 
-        ``GuestEvent.from_record`` decodes the first record of each
-        distinct payload from its dict.  The records after it that
-        share the payload reuse that dict: only their payload goes
-        through the codec again (so no two events share a container),
-        and their common fields and frozen snapshot are set directly.
+        The first record of each distinct payload goes through
+        :meth:`GuestEvent.from_record`; later ones pass its resolved values
+        straight to the payload decoder (no two events share a container).
+        Equal hw snapshots and task blocks share one frozen object.
         """
         values = layout.record.unpack_from(self._buf, pos + 1)
         try:
+            snap = None
+            if layout.hw is not None:
+                hw = values[layout.hw]
+                snap = self._snapshots.get(hw)
+                if snap is None:
+                    snap = self._snapshots[hw] = snapshot_of(hw)
+            vm_id = self._strings[values[2]]
             payloads = self._payloads[layout.value]
             key = values[layout.payload]
-            record = payloads.get(key)
-            if record is None:
-                record = self._record(layout, values)
-                event = GuestEvent.from_record(record)
-                payloads[key] = record
+            resolved = payloads.get(key)
+            if resolved is not None:
+                event = layout.cls.from_values(values[0], values[1], vm_id, snap, resolved)
             else:
-                event = object.__new__(layout.cls)
-                fields = event.__dict__
-                fields["time_ns"] = values[0]
-                fields["vcpu_index"] = values[1]
-                fields["vm_id"] = self._strings[values[2]]
-                fields["hw_state"] = (
-                    None if layout.hw is None else self._snapshot(values[layout.hw])
-                )
-                fields.update(layout.cls._from_payload(record))
+                resolved = self._resolve(layout.kinds, key)
+                event = GuestEvent.from_record(dict(
+                    zip(layout.cls.RECORD_KEYS, resolved),
+                    type=layout.value, t=values[0], vcpu=values[1], vm=vm_id,
+                ))
+                event.hw_state = snap
+                payloads[key] = resolved
             return (
                 values[0], event,
                 self._task_info(values, layout.task),
@@ -791,11 +763,10 @@ class BinaryTraceReader:
     def iter_decoded(self):
         """The replay decoder, eager: what :class:`ReplaySource` feeds.
 
-        A fixed-layout record becomes ``(t_ns, event, task, parent)`` —
-        the objects ``GuestEvent.from_record`` and ``task_from_record``
-        build from its dict, unpacked in one ``struct`` call; only the
-        first record of each distinct payload builds that dict (see
-        :meth:`_decode_at`).  A JSON escape yields its payload verbatim (a
+        A fixed-layout record becomes ``(t_ns, event, task, parent)``,
+        unpacked in one ``struct`` call and built by the same per-type
+        decoder as the dict path (see :meth:`_decode_at`).  A JSON
+        escape yields its payload verbatim (a
         record dict, for replay to decode).  A record whose references
         do not resolve yields a :class:`TraceFormatError` carrying its
         position, which replay counts as a ``decode`` rejection; framing

@@ -22,7 +22,8 @@ on malformed input; replay treats that as a graceful, counted rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import GuestEvent
@@ -45,6 +46,12 @@ _TASK_FIELDS = (
     "task_struct_gva", "pid", "uid", "euid", "comm", "exe", "flags",
     "parent_gva",
 )
+
+#: Expected ``map(type, values)`` shape of a task annotation.
+_TASK_TYPES = [int, int, int, int, str, str, int, int]
+
+#: A task annotation's values in ``_TASK_FIELDS`` order, in one C call.
+_task_values = itemgetter(*_TASK_FIELDS)
 
 
 # ======================================================================
@@ -128,49 +135,39 @@ def task_to_record(info: DerivedTaskInfo) -> Dict[str, Any]:
     return {name: getattr(info, name) for name in _TASK_FIELDS}
 
 
+def task_of(values: Sequence[Any]) -> DerivedTaskInfo:
+    """The one task-info builder: values in ``_TASK_FIELDS`` order,
+    each an int (not a bool) but ``comm``/``exe``, which are strings;
+    anything else is a :class:`TraceFormatError`."""
+    if list(map(type, values)) != _TASK_TYPES:
+        index = next(
+            i for i, (v, t) in enumerate(zip(values, _TASK_TYPES)) if type(v) is not t
+        )
+        raise TraceFormatError(
+            f"task.{_TASK_FIELDS[index]} must be "
+            f"{'a string' if _TASK_TYPES[index] is str else 'an integer'}, "
+            f"got {values[index]!r}"
+        )
+    # Skip the frozen-dataclass __init__, whose per-field
+    # object.__setattr__ round trips dominate in the replay hot loop.
+    info = object.__new__(DerivedTaskInfo)
+    fields = info.__dict__
+    (
+        fields["task_struct_gva"], fields["pid"], fields["uid"],
+        fields["euid"], fields["comm"], fields["exe"], fields["flags"],
+        fields["parent_gva"],
+    ) = values
+    return info
+
+
 def task_from_record(record: Any) -> DerivedTaskInfo:
     if not isinstance(record, dict):
         raise TraceFormatError(f"task annotation must be a dict: {record!r}")
     try:
-        gva = record["task_struct_gva"]
-        pid = record["pid"]
-        uid = record["uid"]
-        euid = record["euid"]
-        comm = record["comm"]
-        exe = record["exe"]
-        flags = record["flags"]
-        parent_gva = record["parent_gva"]
+        values = _task_values(record)
     except KeyError as exc:
         raise TraceFormatError(f"task annotation missing {exc}") from exc
-    # Well-formed annotations (the overwhelming majority) skip coercion
-    # — and the frozen-dataclass __init__, whose per-field
-    # object.__setattr__ round trips dominate this function's cost in
-    # the replay hot loop.
-    if (
-        type(gva) is int and type(pid) is int and type(uid) is int
-        and type(euid) is int and type(flags) is int
-        and type(parent_gva) is int
-        and type(comm) is str and type(exe) is str
-    ):
-        info = object.__new__(DerivedTaskInfo)
-        info.__dict__.update(
-            task_struct_gva=gva,
-            pid=pid,
-            uid=uid,
-            euid=euid,
-            comm=comm,
-            exe=exe,
-            flags=flags,
-            parent_gva=parent_gva,
-        )
-        return info
-    try:
-        return DerivedTaskInfo(
-            int(gva), int(pid), int(uid), int(euid),
-            str(comm), str(exe), int(flags), int(parent_gva),
-        )
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(f"bad task annotation: {exc}") from exc
+    return task_of(values)
 
 
 def event_to_record(

@@ -497,6 +497,15 @@ class TestLayoutRegistry:
         assert set(BTRACE_LAYOUTS) == values
         assert set(TYPE_CODES) == values
 
+    def test_layout_formats_follow_each_codec(self):
+        from repro.core.events import EVENT_CLASSES
+
+        # A raw u64 per int field, a u32 table reference per other kind.
+        packed = {"int": "Q", "str": "I", "reason": "I", "json": "I", "ints": "I"}
+        for value, fmt in BTRACE_LAYOUTS.items():
+            kinds = [kind for _key, _attr, kind in EVENT_CLASSES[value].CODEC]
+            assert fmt == "<" + "".join(packed[k] for k in kinds), value
+
     def test_type_codes_are_unique_and_nonzero(self):
         codes = list(TYPE_CODES.values())
         assert len(set(codes)) == len(codes)

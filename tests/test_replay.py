@@ -145,7 +145,7 @@ class TestCodecRoundTrip:
         with pytest.raises(TraceFormatError):
             GuestEvent.from_record(bad)
 
-    def test_hw_snapshot_accepts_keyed_form(self):
+    def test_hw_snapshot_rejects_keyed_form(self):
         record = SAMPLE_EVENTS[0].to_record()
         assert isinstance(record["hw"], list)
         keyed = dict(record)
@@ -156,7 +156,8 @@ class TestCodecRoundTrip:
                 "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "cpl",
             )
         }
-        assert GuestEvent.from_record(keyed) == SAMPLE_EVENTS[0]
+        with pytest.raises(TraceFormatError, match="must be a list"):
+            GuestEvent.from_record(keyed)
 
 
 class TestTraceIO:

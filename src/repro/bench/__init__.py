@@ -359,11 +359,14 @@ def measure_serve(knobs: Knobs = Knobs()) -> Dict[str, Any]:
 
 
 def measure_figures(knobs: Knobs = Knobs()) -> Dict[str, Any]:
-    """Wall seconds to regenerate each experiment figure at the scale."""
+    """Wall seconds to regenerate (run and render) each experiment
+    figure at the scale."""
     from repro.experiments.runners import run_experiment
 
     return {"wall_s": {
-        name: best_of(lambda: run_experiment(name, scale=knobs.scale), knobs.rounds)[2]
+        name: best_of(
+            lambda: run_experiment(name, scale=knobs.scale).render(), knobs.rounds
+        )[2]
         for name in knobs.figures
     }}
 

@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         try:
             print(run_experiment(
                 name, scale=args.scale, full=args.full, seed=args.seed
-            ))
+            ).render())
         except KeyError as exc:
             print(exc, file=sys.stderr)
             return 2

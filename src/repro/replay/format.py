@@ -53,6 +53,24 @@ _TASK_TYPES = [int, int, int, int, str, str, int, int]
 #: A task annotation's values in ``_TASK_FIELDS`` order, in one C call.
 _task_values = itemgetter(*_TASK_FIELDS)
 
+#: Header fields with their defaults; each must have its default's type.
+_HEADER_DEFAULTS = (
+    ("vm_id", "vm0"), ("seed", 0), ("num_vcpus", 2), ("scenario", ""),
+    ("start_ns", 0),
+)
+
+#: A scan marker's required fields and the type each must have.
+_SCAN_FIELDS = (("t", int), ("auditor", str), ("view", str), ("untrusted_pids", list))
+
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _check_type(what: str, value: Any, kind: type) -> None:
+    """Raise :class:`TraceFormatError` unless ``value`` is exactly a
+    ``kind`` (so a bool is not an integer)."""
+    if type(value) is not kind:
+        raise TraceFormatError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
 
 # ======================================================================
 # Header
@@ -90,37 +108,36 @@ class TraceHeader:
         if not isinstance(record, dict) or record.get("kind") != KIND_HEADER:
             raise TraceFormatError(f"not a trace header: {record!r}")
         version = record.get("version")
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:
             raise TraceFormatError(
                 f"unsupported trace format version {version!r} "
                 f"(this build reads version {FORMAT_VERSION})"
             )
-        num_vcpus = record.get("num_vcpus", 2)
-        if not isinstance(num_vcpus, int) or num_vcpus < 1:
-            raise TraceFormatError(f"bad num_vcpus {num_vcpus!r}")
+        fields = {
+            key: record.get(key, default) for key, default in _HEADER_DEFAULTS
+        }
+        for key, default in _HEADER_DEFAULTS:
+            _check_type(f"header {key}", fields[key], type(default))
+        if fields["num_vcpus"] < 1:
+            raise TraceFormatError(f"bad num_vcpus {fields['num_vcpus']!r}")
         end_ns = record.get("end_ns")
-        if end_ns is not None and not isinstance(end_ns, int):
-            raise TraceFormatError(f"bad end_ns {end_ns!r}")
-        counts = record.get("event_counts") or {}
+        if end_ns is not None:
+            _check_type("header end_ns", end_ns, int)
+        counts = record.get("event_counts")
+        counts = {} if counts is None else counts
         if not isinstance(counts, dict):
             raise TraceFormatError(f"bad event_counts {counts!r}")
-        meta = record.get("meta") or {}
+        for key, value in counts.items():
+            _check_type("header event_counts key", key, str)
+            _check_type(f"header event_counts[{key!r}]", value, int)
+        meta = record.get("meta")
+        meta = {} if meta is None else meta
         if not isinstance(meta, dict):
             raise TraceFormatError(f"bad meta {meta!r}")
-        try:
-            return TraceHeader(
-                version=version,
-                vm_id=str(record.get("vm_id", "vm0")),
-                seed=int(record.get("seed", 0)),
-                num_vcpus=num_vcpus,
-                scenario=str(record.get("scenario", "")),
-                start_ns=int(record.get("start_ns", 0)),
-                end_ns=end_ns,
-                event_counts={str(k): int(v) for k, v in counts.items()},
-                meta=meta,
-            )
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(f"bad trace header field: {exc}")
+        return TraceHeader(
+            version=version, end_ns=end_ns, event_counts=dict(counts), meta=meta,
+            **fields,
+        )
 
     @property
     def total_events(self) -> int:
@@ -226,20 +243,24 @@ def scan_marker(
 
 
 def decode_scan(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A scan marker's fields, each checked, never coerced: ``t`` an
+    int, ``auditor``/``view`` strings, ``untrusted_pids`` a list of
+    ints and ``untrusted_count`` an int or None (no bools anywhere)."""
     if not isinstance(record, dict) or record.get("kind") != KIND_SCAN:
         raise TraceFormatError(f"not a scan marker: {record!r}")
     try:
-        pids = [int(p) for p in record["untrusted_pids"]]
-        count = record.get("untrusted_count")
-        return {
-            "t": int(record["t"]),
-            "auditor": str(record["auditor"]),
-            "view": str(record["view"]),
-            "untrusted_pids": pids,
-            "untrusted_count": int(count) if count is not None else None,
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"bad scan marker: {exc}") from exc
+        scan = {key: record[key] for key, _kind in _SCAN_FIELDS}
+    except KeyError as exc:
+        raise TraceFormatError(f"bad scan marker: missing {exc}") from exc
+    for key, kind in _SCAN_FIELDS:
+        _check_type(f"scan {key}", scan[key], kind)
+    for pid in scan["untrusted_pids"]:
+        _check_type("scan untrusted_pids item", pid, int)
+    count = scan["untrusted_count"] = record.get("untrusted_count")
+    if count is not None:
+        _check_type("scan untrusted_count", count, int)
+    scan["untrusted_pids"] = list(scan["untrusted_pids"])
+    return scan
 
 
 # ======================================================================

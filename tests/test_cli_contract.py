@@ -14,13 +14,19 @@ from __future__ import annotations
 
 import gzip
 import io
+import json
+import re
 import sys
 
 import pytest
 
+from repro.errors import TraceFormatError
 from repro.obs.__main__ import main as obs_main
 from repro.replay.__main__ import main as replay_main
+from repro.replay.btrace import BinaryTraceWriter, load_btrace
+from repro.replay.trace_io import TraceReader, load_trace
 from repro.serve.__main__ import main as serve_main
+from tests.conftest import COERCED_HEADER_FIELDS
 
 MAINS = {"obs": obs_main, "replay": replay_main, "serve": serve_main}
 
@@ -86,6 +92,48 @@ class TestErrorContract:
         code, captured = run_cli("obs", ["top", "-"], capsys)
         assert code == 2
         assert captured.err.startswith("error:")
+
+
+class TestCoercedHeader:
+    """A header field of the wrong type is a format error at every
+    mouth (file, stdin, btrace), never a value coerced into shape."""
+
+    @pytest.fixture(params=COERCED_HEADER_FIELDS, ids=lambda case: next(iter(case[0])))
+    def hostile(self, request, tmp_path, golden_trace_text):
+        override, message = request.param
+        header_line, body = golden_trace_text.split("\n", 1)
+        bad_line = json.dumps({**json.loads(header_line), **override})
+        jsonl = tmp_path / "t.jsonl"
+        jsonl.write_text(bad_line + "\n" + body, encoding="utf-8")
+        btr = str(tmp_path / "t.btr")
+        reader = TraceReader("tests/data/golden_exploit.jsonl")
+        writer = BinaryTraceWriter(btr, reader.header, header_line=bad_line)
+        for record in reader:
+            writer.write_record(record)
+        reader.close()
+        writer.close()
+        return str(jsonl), btr, message
+
+    def test_loaders_raise(self, hostile):
+        jsonl, btr, message = hostile
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            load_trace(jsonl)
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            load_btrace(btr)
+
+    def test_every_cli_mouth_exits_2_with_one_line(self, hostile, monkeypatch, capsys):
+        jsonl, btr, message = hostile
+        with open(jsonl, "rb") as fh:
+            feed_stdin(monkeypatch, fh.read())
+        for which, argv in (
+            ("replay", ["replay", jsonl]),
+            ("replay", ["replay", btr]),
+            ("obs", ["report", "-"]),
+        ):
+            code, captured = run_cli(which, argv, capsys)
+            assert code == 2, f"{which} {argv}"
+            [line] = [ln for ln in captured.err.splitlines() if ln.strip()]
+            assert line.startswith("error:") and message in line
 
 
 class TestStdinSupport:

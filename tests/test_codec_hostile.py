@@ -18,13 +18,14 @@ import dataclasses
 
 import pytest
 
+from repro.auditors.hrkd import HiddenRootkitDetector
 from repro.core.auditor import Auditor
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import _SNAPSHOT_FIELDS, EVENT_CLASSES, EventType, snapshot_of
 from repro.hw.exits import GuestStateSnapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.replay.btrace import load_btrace, save_btrace
-from repro.replay.format import _TASK_FIELDS, Trace, TraceHeader, task_of
+from repro.replay.format import _TASK_FIELDS, Trace, TraceHeader, scan_marker, task_of
 from repro.replay.source import ReplaySource
 from repro.replay.trace_io import load_trace, save_trace
 
@@ -231,3 +232,70 @@ def test_decoded_edge_values_keep_their_value():
     ((event, task),) = seen
     assert (event.number, event.args, event.hw_state.cr3) == (2**64, (-1, 2**64), -1)
     assert (task.pid, task.euid) == (2**64, -1)
+
+
+#: Scan-marker fields the old decoder coerced (``t`` 1.9 became 1,
+#: pids ``[true, "7", 2.5]`` became ``[1, 7, 2]``), one at a time, then
+#: all together.
+COERCED_SCAN_FIELDS = [
+    {"t": 1.9},
+    {"auditor": 42},
+    {"view": None},
+    {"untrusted_pids": [True, "7", 2.5]},
+    {"untrusted_pids": "7"},
+    {"untrusted_count": "3"},
+    {"untrusted_count": False},
+    {"t": 1.9, "auditor": 42, "untrusted_pids": [True, "7", 2.5],
+     "untrusted_count": "3"},
+]
+
+
+class ScanSpy(HiddenRootkitDetector):
+    """HRKD that keeps every untrusted view it cross-validates against."""
+
+    def __init__(self):
+        super().__init__()
+        self.views = []
+
+    def scan_against(self, untrusted_pids, view_name, untrusted_process_count=None):
+        pids = list(untrusted_pids)
+        self.views.append((pids, view_name, untrusted_process_count))
+        return super().scan_against(pids, view_name, untrusted_process_count)
+
+
+@pytest.mark.parametrize("override", [None] + COERCED_SCAN_FIELDS, ids=repr)
+def test_scan_marker_fields_are_checked_not_coerced(
+    tmp_path, recorded_scenario, override
+):
+    run = recorded_scenario("exploit")
+    records = copy.deepcopy(run.trace.records)
+    t_ns = records[-1]["t"]
+    scans = [scan_marker(t_ns, "hrkd", "guest-ps", [1, 7], 2) for _ in range(2)]
+    if override is not None:
+        scans[0].update(override)
+    records += scans
+
+    def in_memory():
+        return Trace(header=copy.deepcopy(run.trace.header),
+                     records=copy.deepcopy(records))
+
+    jsonl = str(tmp_path / "t.jsonl")
+    save_trace(jsonl, in_memory())
+    btr = str(tmp_path / "t.btr")
+    save_btrace(btr, in_memory())
+    for name, trace in (("memory", in_memory()), ("jsonl", load_trace(jsonl)),
+                        ("btrace", load_btrace(btr))):
+        spy = ScanSpy()
+        registry = MetricsRegistry()
+        ReplaySource(trace, [spy], metrics=registry).run()
+        rejected = [
+            (labels["reason"], value)
+            for row, labels, value in registry.snapshot()["counters"]
+            if row == "flow.rejected"
+        ]
+        if override is None:
+            assert (spy.views, rejected) == ([([1, 7], "guest-ps", 2)] * 2, []), name
+        else:
+            assert (spy.views, rejected) == (
+                [([1, 7], "guest-ps", 2)], [("bad-scan", 1)]
+            ), name

@@ -1,8 +1,9 @@
 """End-to-end scenarios tying whole subsystems together.
 
 Each test here is a miniature of one of the paper's headline results,
-run at reduced scale so the suite stays fast; the full-scale versions
-live in benchmarks/.
+run at reduced scale so the suite stays fast; the results themselves
+are the ``repro.experiments`` runners, checked in
+``tests/test_paper_results.py``.
 """
 
 

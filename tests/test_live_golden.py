@@ -26,7 +26,6 @@ import pytest
 from repro.faults.campaign import TrialConfig, run_campaign
 from repro.faults.injector import InjectionMode
 from repro.faults.sites import FaultClass, build_site_catalog
-from repro.replay.recorder import record_scenario
 from repro.sim.clock import SECOND
 
 #: The benchmark grid's shortened windows.
@@ -89,7 +88,7 @@ def test_campaign_grid_is_pinned(jobs):
 
 
 @pytest.mark.parametrize("scenario", sorted(RECORD_LINES_SHA256))
-def test_recorded_scenario_is_pinned(scenario):
-    run = record_scenario(scenario, seed=0)
+def test_recorded_scenario_is_pinned(scenario, recorded_scenario):
+    run = recorded_scenario(scenario)
     lines = "\n".join(json.dumps(record, sort_keys=True) for record in run.trace.records)
     assert hashlib.sha256(lines.encode()).hexdigest() == RECORD_LINES_SHA256[scenario]

@@ -232,14 +232,14 @@ class TestGoldenTrace:
         assert first.verdicts == second.verdicts
         assert first.events_replayed == second.events_replayed
 
-    def test_live_recording_matches_golden(self):
+    def test_live_recording_matches_golden(self, recorded_scenario):
         # Pins the live engine that produced the golden, not only its
         # replay: every record line byte for byte, the header on the
         # golden's keys (it predates ``meta.perturb_seed``) with the
         # wall-clock field masked.
         with open(GOLDEN_TRACE, encoding="utf-8") as fh:
             golden = fh.read().splitlines()
-        lines = dumps_trace(record_scenario("exploit", seed=0).trace).splitlines()
+        lines = dumps_trace(recorded_scenario("exploit").trace).splitlines()
         assert lines[1:] == golden[1:]
         header, golden_header = json.loads(lines[0]), json.loads(golden[0])
         for h in (header, golden_header):
@@ -250,22 +250,62 @@ class TestGoldenTrace:
 
 class TestScenarioReproduction:
     @pytest.mark.parametrize("name", ["exploit", "rootkit"])
-    def test_record_then_replay_matches_live(self, name):
-        run = record_scenario(name, seed=0)
+    def test_record_then_replay_matches_live(self, name, recorded_scenario):
+        run = recorded_scenario(name)
         auditors = SCENARIOS[name].build_auditors()
         report = ReplaySource(run.trace, auditors).run()
         assert report.verdicts == run.live_verdicts
         assert report.verdicts  # the attack scenarios must alert
         assert not report.container_failed
 
-    def test_recording_survives_serialization(self):
-        run = record_scenario("exploit", seed=0)
+    def test_recording_survives_serialization(self, recorded_scenario):
+        run = recorded_scenario("exploit")
         reloaded = Trace(
             header=run.trace.header,
             records=[json.loads(json.dumps(r)) for r in run.trace.records],
         )
         report = ReplaySource(reloaded, SCENARIOS["exploit"].build_auditors()).run()
         assert report.verdicts == run.live_verdicts
+
+
+class TestReplayThroughput:
+    """Replay re-audits a recording faster than the live simulation
+    produced it (the IRIS use case): one live capture supports many
+    offline re-audits and fuzzing runs."""
+
+    ROUNDS = 5
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        out = {}
+        for name in sorted(SCENARIOS):
+            # A fresh recording: both rates are wall-clock, so the live
+            # run and its replays are measured back to back, under the
+            # same host load.
+            run = record_scenario(name, seed=0)
+            live_rate = run.trace.header.total_events / run.live_wall_seconds
+            walls = []
+            for _ in range(self.ROUNDS):
+                report = ReplaySource(run.trace, SCENARIOS[name].build_auditors()).run()
+                walls.append(report.wall_seconds)
+            out[name] = (
+                report.matches_live(run.live_verdicts),
+                report.events_replayed / min(walls) / live_rate,
+            )
+        return out
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_replay_reproduces_live_verdicts(self, results, name):
+        reproduced, _speedup = results[name]
+        assert reproduced, f"{name}: replay diverged from live verdicts"
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_replay_at_least_5x_live(self, results, name):
+        _reproduced, speedup = results[name]
+        assert speedup >= 5.0, (
+            f"{name}: replay only {speedup:.1f}x live (best of {self.ROUNDS}; "
+            "the subsystem targets >= 10x on an idle machine)"
+        )
 
 
 class TestSilenceGapLiveness:

@@ -22,6 +22,7 @@ from repro.serve.protocol import (
     encode_frame,
 )
 from repro.serve.service import StreamService
+from tests.conftest import COERCED_HEADER_FIELDS
 
 HELLO = encode_frame({"kind": "hello", "version": PROTOCOL_VERSION})
 
@@ -270,8 +271,8 @@ class TestHostileFrames:
     PAD = b'{"kind": "rec", "pad": "' + b"a" * MAX_FRAME_BYTES + b'"}\n'
 
     @pytest.fixture(scope="class")
-    def header(self):
-        return record_scenario("exploit", seed=0).trace.header.to_record()
+    def header(self, recorded_scenario):
+        return recorded_scenario("exploit").trace.header.to_record()
 
     def assert_contained(self, tmp_path, caplog, pieces, message, eof=True, jobs=1):
         async def client(socket_path):
@@ -343,6 +344,22 @@ class TestHostileFrames:
         self.assert_contained(
             tmp_path, caplog, [HELLO + b"".join(map(encode_frame, frames))],
             "not a trace header", jobs=jobs,
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "override, message", COERCED_HEADER_FIELDS,
+        ids=[next(iter(override)) for override, _ in COERCED_HEADER_FIELDS],
+    )
+    def test_coerced_header_field(self, tmp_path, caplog, header, override,
+                                  message, jobs):
+        frames = [
+            {"kind": "stream-open", "stream": "s", "header": {**header, **override}},
+            {"kind": "stream-close", "stream": "s"},
+        ]
+        self.assert_contained(
+            tmp_path, caplog, [HELLO + b"".join(map(encode_frame, frames))],
+            message, jobs=jobs,
         )
 
 

@@ -39,18 +39,20 @@ def write_tree(base: Path, files: dict) -> Path:
 # The repo itself
 # ======================================================================
 class TestRepoIsClean:
-    def test_no_findings_on_this_tree(self):
-        report = run_analysis(SRC_ROOT)
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_analysis(SRC_ROOT)
+
+    def test_no_findings_on_this_tree(self, report):
         assert report.findings == [], "\n".join(
             f"{f.location()}: [{f.rule}] {f.message}" for f in report.findings
         )
         assert report.files_scanned > 50
 
-    def test_sanctioned_crossings_are_annotated_not_absent(self):
+    def test_sanctioned_crossings_are_annotated_not_absent(self, report):
         # The deliberate baselines (O-Ninja, H-Ninja) and HRKD's
         # cross-validation input exist and are justified inline — the
         # suppression count proves the rule actually sees them.
-        report = run_analysis(SRC_ROOT)
         assert report.suppressed >= 10
 
     def test_exit_code_via_main(self, capsys):

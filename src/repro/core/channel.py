@@ -86,9 +86,10 @@ class EventFanout:
         """
         event_type = event.type
         self.events_published[event_type] += 1
+        subscribers = self._by_type[event_type]
         metrics = self.metrics
         if metrics is None:
-            self._deliver(event_type, event, blocking_charge)
+            self._deliver(subscribers, event, blocking_charge)
             return
         cell = self._stage_cells.get(event_type)
         if cell is None:
@@ -101,7 +102,8 @@ class EventFanout:
         cell.value += 1
         metrics.span_begin(event, vm=self.vm_id)
         try:
-            self._deliver(event_type, event, blocking_charge)
+            if subscribers:  # most replayed events reach no auditor
+                self._deliver(subscribers, event, blocking_charge)
         finally:
             # Close the span even when an auditor raises: a leaked span
             # would silently swallow the next publish's hops.
@@ -109,11 +111,11 @@ class EventFanout:
 
     def _deliver(
         self,
-        event_type: EventType,
+        subscribers: List[Tuple[Auditor, AuditingContainer]],
         event: GuestEvent,
         blocking_charge: Optional[Callable[[Auditor, GuestEvent], None]],
     ) -> None:
-        for auditor, container in self._by_type[event_type]:
+        for auditor, container in subscribers:
             if (
                 blocking_charge is not None
                 and auditor.blocking

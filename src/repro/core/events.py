@@ -8,6 +8,7 @@ EPT-qualified addresses, never from guest self-reporting.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 from dataclasses import dataclass, field
@@ -234,6 +235,42 @@ def _compile_decoder(cls: Type["GuestEvent"]) -> Callable[..., "GuestEvent"]:
     return decode
 
 
+def _copy_json(value: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of a checked ``json`` value that shares no container with
+    it; enum members and scalars are immutable, so shared."""
+    for v in value.values():
+        if type(v) is dict or type(v) is list:
+            return copy.deepcopy(value)
+    return dict(value)
+
+
+def _compile_copier(cls: Type["GuestEvent"]) -> Callable[..., "GuestEvent"]:
+    """The repeat constructor of ``cls``, built from its ``CODEC``.
+
+    ``from_checked(time_ns, vcpu_index, vm_id, hw_state, checked)``
+    takes checked common fields and ``checked``, the ``__dict__`` of an
+    event of ``cls``.  It copies the payload in one update, so the new
+    event's ``__dict__`` has the decoder's layout, and gives each
+    ``json`` field its own copy, so no two events share a container.
+    """
+    json_attrs = tuple(attr for _, attr, kind in cls.CODEC if kind == "json")
+    new = object.__new__
+
+    def from_checked(time_ns, vcpu_index, vm_id, hw_state, checked):
+        event = new(cls)
+        fields = event.__dict__
+        fields.update(checked)
+        fields["time_ns"] = time_ns
+        fields["vcpu_index"] = vcpu_index
+        fields["vm_id"] = vm_id
+        fields["hw_state"] = hw_state
+        for attr in json_attrs:
+            fields[attr] = _copy_json(checked[attr])
+        return event
+
+    return from_checked
+
+
 @dataclass
 class GuestEvent:
     """Base event: timestamp, vCPU, and the hardware state snapshot."""
@@ -256,13 +293,17 @@ class GuestEvent:
     RECORD_DEFAULTS: ClassVar[Tuple[Any, ...]]
 
     #: The per-type payload decoder (see ``_compile_decoder``); set at
-    #: import for registered classes.  Every container builds events
-    #: through it.
+    #: import for registered classes.  Every container checks payloads
+    #: through it (btrace once per distinct payload).
     from_values: ClassVar[Callable[..., "GuestEvent"]]
 
-    @property
-    def type(self) -> EventType:  # pragma: no cover - overridden
-        return EventType.RAW_EXIT
+    #: The per-type repeat constructor (see ``_compile_copier``): an
+    #: event with the payload of one ``from_values`` already checked.
+    from_checked: ClassVar[Callable[..., "GuestEvent"]]
+
+    #: The event's type: a class attribute, not a dataclass field, so
+    #: reading it is one attribute lookup on every delivered event.
+    type: ClassVar[EventType]
 
     # ------------------------------------------------------------------
     # Codec (shared by the trace recorder and ``repro.replay``)
@@ -330,11 +371,8 @@ class ProcessSwitchEvent(GuestEvent):
     new_pdba: int = 0
     old_pdba: int = 0
 
+    type = EventType.PROCESS_SWITCH
     CODEC = (("new_pdba", "new_pdba", "int"), ("old_pdba", "old_pdba", "int"))
-
-    @property
-    def type(self) -> EventType:
-        return EventType.PROCESS_SWITCH
 
 
 @dataclass
@@ -344,11 +382,8 @@ class ThreadSwitchEvent(GuestEvent):
 
     rsp0: int = 0
 
+    type = EventType.THREAD_SWITCH
     CODEC = (("rsp0", "rsp0", "int"),)
-
-    @property
-    def type(self) -> EventType:
-        return EventType.THREAD_SWITCH
 
 
 @dataclass
@@ -359,15 +394,12 @@ class SyscallEvent(GuestEvent):
     mechanism: str = "sysenter"  # or "int80"
     args: Tuple[int, ...] = ()
 
+    type = EventType.SYSCALL
     CODEC = (
         ("nr", "number", "int"),
         ("mechanism", "mechanism", "str"),
         ("args", "args", "ints"),
     )
-
-    @property
-    def type(self) -> EventType:
-        return EventType.SYSCALL
 
 
 @dataclass
@@ -377,13 +409,10 @@ class IOEvent(GuestEvent):
     kind: str = "pio"  # "pio" | "interrupt" | "apic"
     detail: Dict[str, Any] = field(default_factory=dict)
 
+    type = EventType.IO
     # "io_kind", not "kind": trace records reserve "kind" for the
     # record-kind envelope (header/event/scan/footer).
     CODEC = (("io_kind", "kind", "str"), ("detail", "detail", "json"))
-
-    @property
-    def type(self) -> EventType:
-        return EventType.IO
 
 
 @dataclass
@@ -394,11 +423,8 @@ class MemoryAccessEvent(GuestEvent):
     gpa: int = 0
     access: str = "w"
 
+    type = EventType.MEM_ACCESS
     CODEC = (("gva", "gva", "int"), ("gpa", "gpa", "int"), ("access", "access", "str"))
-
-    @property
-    def type(self) -> EventType:
-        return EventType.MEM_ACCESS
 
 
 @dataclass
@@ -409,11 +435,8 @@ class TssIntegrityAlert(GuestEvent):
     saved_tr: int = 0
     current_tr: int = 0
 
+    type = EventType.TSS_INTEGRITY
     CODEC = (("saved_tr", "saved_tr", "int"), ("current_tr", "current_tr", "int"))
-
-    @property
-    def type(self) -> EventType:
-        return EventType.TSS_INTEGRITY
 
 
 @dataclass
@@ -423,11 +446,8 @@ class RawExitEvent(GuestEvent):
     reason: ExitReason = ExitReason.HLT
     qualification: Dict[str, Any] = field(default_factory=dict)
 
+    type = EventType.RAW_EXIT
     CODEC = (("reason", "reason", "reason"), ("qual", "qualification", "json"))
-
-    @property
-    def type(self) -> EventType:
-        return EventType.RAW_EXIT
 
 
 #: Serialized ``type`` value -> event class, for :meth:`GuestEvent.from_record`.
@@ -455,3 +475,4 @@ for _cls in EVENT_CLASSES.values():
         _KINDS[kind][0](_defaults[attr]) for _, attr, kind in _cls.CODEC
     )
     _cls.from_values = staticmethod(_compile_decoder(_cls))
+    _cls.from_checked = staticmethod(_compile_copier(_cls))

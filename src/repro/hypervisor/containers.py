@@ -25,7 +25,7 @@ from repro.obs.metrics import INFRA_AUDITORS, Counter, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.auditor import Auditor
-    from repro.core.events import GuestEvent
+    from repro.core.events import EventType, GuestEvent
 
 
 class AuditingContainer:
@@ -50,20 +50,21 @@ class AuditingContainer:
         #: per-channel health check needs.
         self.liveness = liveness
         self.metrics = metrics
-        self._cells: Dict[Tuple[str, str, str], Counter] = {}
+        self._cells: Dict[Tuple[str, str, "EventType"], Counter] = {}
 
     def add_auditor(self, auditor: "Auditor") -> None:
         self.auditors.append(auditor)
 
     def _count(self, name: str, auditor_name: str, event: "GuestEvent",
                reason: Optional[str] = None) -> None:
-        key = (name, auditor_name, event.type.value)
+        event_type = event.type
+        key = (name, auditor_name, event_type)
         cell = self._cells.get(key) if reason is None else None
         if cell is None:
             labels = {
                 "vm": self.vm_id,
                 "auditor": auditor_name,
-                "type": event.type.value,
+                "type": event_type.value,
             }
             if reason is not None:
                 labels["reason"] = reason

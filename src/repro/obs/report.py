@@ -19,10 +19,7 @@ every scope except ``all`` to keep that identity.
 
 from __future__ import annotations
 
-import gzip
 import json
-import sys
-import zlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TraceFormatError
@@ -108,7 +105,9 @@ def collect_replay(trace: Any, span_sink: Any = None) -> Dict[str, Any]:
     return registry.snapshot()
 
 
-def load_trace_observed(path: str, registry: MetricsRegistry):
+def load_trace_observed(
+    path: str, registry: MetricsRegistry, data: Optional[bytes] = None
+):
     """Load a trace, counting stream truncation instead of raising.
 
     A corrupt/truncated stream normally surfaces as a
@@ -120,20 +119,18 @@ def load_trace_observed(path: str, registry: MetricsRegistry):
     * ``flow.dropped{vm, stage=trace-read, reason=truncated-stream}``
 
     A btrace record whose table references do not resolve is no cut:
-    it has no dict, so its :class:`BadReferenceError` propagates.
-    """
-    from repro.replay.btrace import BadReferenceError, BinaryTraceReader, is_btrace_path
-    from repro.replay.format import Trace
-    from repro.replay.trace_io import TraceReader
+    it has no dict, so its :class:`BadReferenceError` propagates.  So
+    do open errors: a btrace without its trailer is unreadable by
+    construction (the interning tables live at EOF), like a JSONL
+    trace without a readable header.
 
-    if is_btrace_path(path):
-        # A btrace without its trailer is unreadable by construction
-        # (the interning tables live at EOF), so open errors propagate
-        # like an unreadable JSONL header does; corruption *inside* the
-        # record region salvages the decoded prefix just like below.
-        reader = BinaryTraceReader(path)
-    else:
-        reader = TraceReader(path)
+    ``path`` and ``data`` are read as :func:`~repro.replay.btrace.open_trace`
+    reads them.
+    """
+    from repro.replay.btrace import BadReferenceError, open_trace
+    from repro.replay.format import Trace
+
+    reader = open_trace(path, data)
     vm_id = reader.header.vm_id
     records: List[Dict[str, Any]] = []
     try:
@@ -153,95 +150,30 @@ def load_trace_observed(path: str, registry: MetricsRegistry):
             reason="truncated-stream",
         )
     finally:
-        close = getattr(reader, "close", None)
-        if close is not None:
-            close()
+        reader.close()
     trace = Trace(header=reader.header, records=records)
     if not trace.header.event_counts:
         trace.recount()
     return trace
 
 
-def collect_trace(path: str, span_sink: Any = None) -> Dict[str, Any]:
-    """Replay a trace file; truncation becomes counted drops.
-
-    ``-`` reads the trace from stdin (plain/gzipped JSONL or btrace —
-    the magic bytes decide).  ``span_sink`` streams completed spans
-    past the ring bound (see :func:`collect_replay`).
+def collect_trace(
+    path: str, span_sink: Any = None, data: Optional[bytes] = None
+) -> Dict[str, Any]:
+    """Replay a trace, read as :func:`load_trace_observed` reads it
+    (``-`` reads stdin); truncation becomes counted drops.
+    ``span_sink`` streams completed spans past the ring bound (see
+    :func:`collect_replay`).
     """
     from repro.replay.source import ReplaySource
     from repro.replay.recorder import auditors_for
 
-    if path == "-":
-        data = _stdin_bytes()
-        if _is_btrace(data):
-            return collect_trace_bytes(data, span_sink=span_sink)
-        return collect_trace_text(_decode_stream(data), span_sink=span_sink)
     registry = MetricsRegistry()
     if span_sink is not None:
         registry.set_span_sink(span_sink)
-    trace = load_trace_observed(path, registry)
+    trace = load_trace_observed(path, registry, data)
     ReplaySource(trace, auditors_for(trace), metrics=registry).run()
     return registry.snapshot()
-
-
-def collect_trace_text(text: str, span_sink: Any = None) -> Dict[str, Any]:
-    """Replay a trace already held as JSONL text; snapshot."""
-    from repro.replay.source import ReplaySource
-    from repro.replay.trace_io import loads_trace
-    from repro.replay.recorder import auditors_for
-
-    registry = MetricsRegistry()
-    if span_sink is not None:
-        registry.set_span_sink(span_sink)
-    trace = loads_trace(text)
-    ReplaySource(trace, auditors_for(trace), metrics=registry).run()
-    return registry.snapshot()
-
-
-def collect_trace_bytes(data: bytes, span_sink: Any = None) -> Dict[str, Any]:
-    """Replay an in-memory btrace image (the ``-`` stdin path)."""
-    from repro.replay.btrace import load_btrace
-    from repro.replay.source import ReplaySource
-    from repro.replay.recorder import auditors_for
-
-    registry = MetricsRegistry()
-    if span_sink is not None:
-        registry.set_span_sink(span_sink)
-    trace = load_btrace(data=data)
-    ReplaySource(trace, auditors_for(trace), metrics=registry).run()
-    return registry.snapshot()
-
-
-def _is_btrace(data: bytes) -> bool:
-    from repro.replay.btrace import is_btrace_bytes
-
-    return is_btrace_bytes(data)
-
-
-def _stdin_bytes() -> bytes:
-    return sys.stdin.buffer.read()
-
-
-def _decode_stream(data: bytes) -> str:
-    """Stream bytes as text; transparent gunzip so ``cmd | obs top -``
-    works on compressed streams too.  Bad bytes surface as the usual
-    typed error (one line, exit 2) rather than a traceback."""
-    if data[:2] == b"\x1f\x8b":
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise TraceFormatError(
-                f"stdin: corrupt gzip stream: {exc}"
-            ) from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"stdin: not utf-8 text: {exc}") from exc
-
-
-def _stdin_text() -> str:
-    return _decode_stream(_stdin_bytes())
 
 
 def _collect_task(task: Tuple[str, int, str]) -> Dict[str, Any]:
@@ -291,57 +223,53 @@ def parse_export(lines: Iterable[str]) -> List[Dict[str, Any]]:
     return rows
 
 
-def rows_from_text(text: str, scope: str = "pipeline") -> List[Dict[str, Any]]:
-    """Metric rows for in-memory text: a trace is replayed, an export
-    is parsed.  Same first-line sniff as :func:`rows_for_path`."""
-    first = ""
-    for line in text.splitlines():
-        if line.strip():
-            first = line
-            break
+def _export_text(data: bytes, name: str) -> Optional[str]:
+    """The text of ``data`` when it holds a metrics export: JSONL,
+    gzipped or not, whose first non-blank line is no trace header.
+    ``None`` for anything else, which is then read as a trace (and a
+    stream broken before its first line reported by the trace reader)."""
+    from repro.replay.btrace import is_btrace_bytes
+    from repro.replay.trace_io import _STREAM_ERRORS, text_stream
+
+    if is_btrace_bytes(data):
+        return None
+    stream = text_stream(data)
     try:
-        record = json.loads(first) if first.strip() else {}
+        first = next((line for line in stream if line.strip()), "")
+    except _STREAM_ERRORS:
+        return None
+    try:
+        record = json.loads(first) if first else {}
     except json.JSONDecodeError:
         record = {}
     if isinstance(record, dict) and record.get("kind") == "header":
-        return parse_export(
-            export_lines(collect_trace_text(text), scope=scope)
-        )
-    return parse_export(text.splitlines())
+        return None
+    try:
+        return first + stream.read()
+    except _STREAM_ERRORS as exc:
+        raise TraceFormatError(
+            f"{name}: corrupt or truncated export: {exc}"
+        ) from exc
 
 
 def rows_for_path(path: str, scope: str = "pipeline") -> List[Dict[str, Any]]:
     """Metric rows for a path that is either an export or a trace.
 
-    Sniffing is by first line: a trace starts with its in-band header
-    record, an export with a ``counter``/``hist``/``span`` row.  A trace
-    is replayed (through :func:`collect_trace`) to produce its rows.
-    ``-`` reads whichever of the two stdin holds (once — at most one
-    argument per invocation can be ``-``).
+    Sniffing is by content: a trace is btrace, or JSONL that starts
+    with its in-band header record; an export starts with a
+    ``counter``/``hist``/``span`` row.  A trace is replayed (through
+    :func:`collect_trace`) to produce its rows.  ``-`` reads whichever
+    of the two stdin holds (once — at most one argument per invocation
+    can be ``-``).
     """
-    if path == "-":
-        data = _stdin_bytes()
-        if _is_btrace(data):
-            return parse_export(
-                export_lines(collect_trace_bytes(data), scope=scope)
-            )
-        return rows_from_text(_decode_stream(data), scope=scope)
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-    if _is_btrace(head):  # btrace magic: must be a trace
-        return parse_export(export_lines(collect_trace(path), scope=scope))
-    if head[:2] == b"\x1f\x8b":  # gzip magic: must be a trace
-        return parse_export(export_lines(collect_trace(path), scope=scope))
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    try:
-        record = json.loads(first) if first.strip() else {}
-    except json.JSONDecodeError:
-        record = {}
-    if isinstance(record, dict) and record.get("kind") == "header":
-        return parse_export(export_lines(collect_trace(path), scope=scope))
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_export(fh)
+    from repro.replay.trace_io import STDIN_NAME, read_input
+
+    data = read_input(path)
+    text = _export_text(data, STDIN_NAME if path == "-" else path)
+    if text is not None:
+        return parse_export(text.splitlines())
+    snapshot = collect_trace(path, data=data)
+    return parse_export(export_lines(snapshot, scope=scope))
 
 
 def _row_key(row: Dict[str, Any]) -> str:

@@ -11,7 +11,8 @@
   inferred by sniffing the source's magic bytes).
 
 ``replay`` and ``fuzz`` accept either trace format transparently — the
-first bytes of the file decide, never the extension.
+first bytes of the file decide, never the extension — and read the
+trace from stdin when its path is ``-``.
 """
 
 from __future__ import annotations
@@ -191,7 +192,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_record.set_defaults(func=cmd_record)
 
     p_replay = sub.add_parser("replay", help="re-audit a recorded trace")
-    p_replay.add_argument("trace", help="trace file to replay")
+    p_replay.add_argument(
+        "trace", help="trace file to replay ('-' reads the trace from stdin)"
+    )
     p_replay.add_argument(
         "--profile",
         action="store_true",

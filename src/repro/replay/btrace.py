@@ -35,11 +35,15 @@ The payload fields, their order and their kinds are each event
 class's ``CODEC`` table in :mod:`repro.core.events`; this module only
 says how each kind is packed.  Replay reads eagerly:
 :meth:`BinaryTraceReader.iter_decoded` unpacks each fixed-layout
-record with one precompiled ``struct`` call, resolves its references
-(once per distinct payload) and builds the event with the dict path's
-decoder: ``GuestEvent.from_record`` for the first record of each payload,
-its per-type payload decoder for the rest.  Record dicts are built only
-for consumers that ask (``Trace.records``, ``convert``), from events.
+record's common prefix and reads its payload, hw and task blocks as
+bytes.  Each distinct payload is checked once: its references are
+resolved and its first record is built by the dict path's decoder,
+``GuestEvent.from_record``; repeats copy its checked attributes
+(``from_checked``, compiled in :mod:`repro.core.events`), with fresh
+``json`` dicts.  Each distinct hw or task block is unpacked and
+built once, and equal ones share the frozen result.  Record dicts
+are built only for consumers that ask (``Trace.records``, ``convert``),
+from events.
 
 The header line is stored *verbatim* (and the JSONL footer, when the
 source stream had one), so ``convert`` round-trips canonically-written
@@ -59,7 +63,7 @@ import json
 import mmap
 import struct
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type, Union
 
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import EVENT_CLASSES, GuestEvent, snapshot_of
@@ -73,6 +77,7 @@ from repro.replay.format import (
     event_to_record,
     task_of,
 )
+from repro.replay.trace_io import STDIN_NAME, TraceReader, _create, read_input
 
 #: First bytes of every btrace file.  Distinct from gzip (``\x1f\x8b``)
 #: and from any JSON/JSONL first byte, so one 8-byte sniff classifies
@@ -387,23 +392,29 @@ class BinaryTraceWriter:
 # Precompiled per-tag decoders (eager decode)
 # ======================================================================
 class _Layout(NamedTuple):
-    """One fixed-layout tag, precompiled.
+    """One fixed-layout tag, precompiled: where each part of its records
+    sits, in bytes from the tag byte.
 
-    ``record`` unpacks everything after the tag byte — common prefix,
-    payload, hw, task, parent — in one call; the other fields say where
-    each part sits in the unpacked tuple.
+    Only the common prefix is always unpacked.  The payload, hw, task
+    and parent blocks are read as bytes, which key the reader's decode
+    caches; a block is unpacked only the first time the reader sees it.
     """
 
     value: str
     cls: Type[GuestEvent]
-    record: struct.Struct
+    record: struct.Struct  # the whole record after the tag (the writer's)
+    payload: struct.Struct  # after the common prefix, at ``_PAYLOAD_AT``
     size: int  # whole record, tag byte included
     kinds: Tuple[str, ...]  # the ``CODEC`` field kinds, in layout order
-    payload: slice
-    hw: Optional[slice]
+    hw: Optional[int]
     task: Optional[int]
     parent: Optional[int]
 
+
+#: The common prefix ``t:u64 vcpu:u16 vm:ref32`` after the tag byte,
+#: and where the payload starts.
+_PREFIX = struct.Struct("<QHI")
+_PAYLOAD_AT = 1 + _PREFIX.size
 
 #: tag -> layout, filled by :func:`_layout` on a tag's first use (a
 #: trace uses a handful of the 56 tags); one list index per record.
@@ -419,26 +430,19 @@ def _layout(tag: int) -> Optional[_Layout]:
     if layout is not None or value is None:
         return layout
     cls = EVENT_CLASSES[value]
-    parts = "<QHI" + BTRACE_LAYOUTS[value][1:]
-    n = 3 + len(cls.CODEC)
-    hw = task = parent = None
-    if tag & 4:
-        parts += _HW.format[1:]
-        hw = slice(n, n + 11)
-        n += 11
-    if tag & 2:
-        parts += _TASK.format[1:]
-        task = n
-        n += 8
-    if tag & 1:
-        parts += _TASK.format[1:]
-        parent = n
+    parts = _PREFIX.format + BTRACE_LAYOUTS[value][1:]
+    offsets: List[Optional[int]] = []  # of the hw, task and parent blocks
+    for bit, block in ((4, _HW), (2, _TASK), (1, _TASK)):
+        if tag & bit:
+            offsets.append(1 + struct.calcsize(parts))
+            parts += block.format[1:]
+        else:
+            offsets.append(None)
     record = struct.Struct(parts)
     layout = _LAYOUTS[tag] = _Layout(
-        value, cls, record, 1 + record.size,
+        value, cls, record, struct.Struct(BTRACE_LAYOUTS[value]), 1 + record.size,
         tuple(kind for _, _, kind in cls.CODEC),
-        slice(3, 3 + len(cls.CODEC)),
-        hw, task, parent,
+        *offsets,
     )
     return layout
 
@@ -498,12 +502,13 @@ class BinaryTraceReader:
         self.footer: Optional[Dict[str, Any]] = None
         self.malformed_lines = 0
         self.records_read = 0
-        # Decode caches, keyed by packed values (see _decode_at).
-        self._payloads: Dict[str, Dict[tuple, tuple]] = {
+        # Decode caches, keyed by packed bytes (see _decode_at); a
+        # payload maps to the checked fields of its first event.
+        self._payloads: Dict[str, Dict[bytes, Dict[str, Any]]] = {
             value: {} for value in TYPE_CODES
         }
-        self._snapshots: Dict[tuple, GuestStateSnapshot] = {}
-        self._tasks: Dict[tuple, DerivedTaskInfo] = {}
+        self._snapshots: Dict[bytes, GuestStateSnapshot] = {}
+        self._tasks: Dict[bytes, DerivedTaskInfo] = {}
         try:
             self._parse_container()
         except TraceFormatError:
@@ -653,39 +658,6 @@ class BinaryTraceReader:
         return record, pos + 5 + n
 
     # ------------------------------------------------------------------
-    def _frames(self):
-        """Walk the records: yield ``(layout, offset)`` per fixed-layout
-        record and the parsed payload per JSON escape.
-
-        Framing damage (unknown tag, overrun, early end, bad escape)
-        raises with ``records_read`` context; field references are the
-        caller's to resolve.
-        """
-        buf = self._buf
-        end = self._body_end
-        pos = self._body_start
-        remaining = self.record_count
-        while remaining > 0 and pos < end:
-            tag = buf[pos]
-            if tag == _TAG_ESCAPE:
-                record, pos = self._escape_at(pos)
-                self.records_read += 1
-                remaining -= 1
-                yield record
-                continue
-            layout = _LAYOUTS[tag] or _layout(tag)
-            if layout is None:
-                raise self._corrupt(f"unknown record tag {tag:#04x}")
-            if pos + layout.size > end:
-                raise self._corrupt("record overruns the body")
-            at = pos
-            pos += layout.size
-            self.records_read += 1
-            remaining -= 1
-            yield layout, at
-        if remaining > 0:
-            raise self._corrupt("record region ended early")
-
     def _resolve(self, kinds: Tuple[str, ...], packed: tuple) -> tuple:
         """The record values of one packed payload: string, blob and
         JSON references resolved (a JSON reference must hold an object:
@@ -705,19 +677,14 @@ class BinaryTraceReader:
             values.append(value)
         return tuple(values)
 
-    def _task_info(self, values: tuple, i: Optional[int]) -> Optional[DerivedTaskInfo]:
-        """The task info of the task block at ``values[i:]``; equal
-        blocks share one (frozen) object."""
-        if i is None:
-            return None
-        key = values[i : i + 8]
-        info = self._tasks.get(key)
-        if info is None:
-            gva, pid, uid, euid, flags, parent_gva, comm, exe = key
-            info = self._tasks[key] = task_of((
-                gva, pid, uid, euid,
-                self._strings[comm], self._strings[exe], flags, parent_gva,
-            ))
+    def _task_info(self, block: bytes) -> DerivedTaskInfo:
+        """The task info of one packed task block, built on its first
+        sighting; equal blocks share one (frozen) object."""
+        gva, pid, uid, euid, flags, parent_gva, comm, exe = _TASK.unpack(block)
+        info = self._tasks[block] = task_of((
+            gva, pid, uid, euid,
+            self._strings[comm], self._strings[exe], flags, parent_gva,
+        ))
         return info
 
     def _decode_at(self, layout: _Layout, pos: int):
@@ -725,56 +692,92 @@ class BinaryTraceReader:
         task, parent)``, or the :class:`TraceFormatError` that replay
         counts when one of its references does not resolve.
 
-        The first record of each distinct payload goes through
-        :meth:`GuestEvent.from_record`; later ones pass its resolved values
-        straight to the payload decoder (no two events share a container).
-        Equal hw snapshots and task blocks share one frozen object.
+        The payload, hw and task blocks are read as bytes that key the
+        reader's caches.  Each distinct payload is checked once: its
+        first record goes through :meth:`GuestEvent.from_record`, and a
+        private copy of the checked fields it produced is kept.  A repeat
+        is built from that copy by ``from_checked``, with fresh ``json``
+        dicts, so no two events share a container.  Equal hw snapshots
+        and task blocks share one frozen object.
         """
-        values = layout.record.unpack_from(self._buf, pos + 1)
+        buf = self._buf
+        t_ns, vcpu, vm = _PREFIX.unpack_from(buf, pos + 1)
         try:
             snap = None
             if layout.hw is not None:
-                hw = values[layout.hw]
-                snap = self._snapshots.get(hw)
+                at = pos + layout.hw
+                block = buf[at : at + _HW.size]
+                snap = self._snapshots.get(block)
                 if snap is None:
-                    snap = self._snapshots[hw] = snapshot_of(hw)
-            vm_id = self._strings[values[2]]
+                    snap = self._snapshots[block] = snapshot_of(_HW.unpack(block))
+            vm_id = self._strings[vm]
             payloads = self._payloads[layout.value]
-            key = values[layout.payload]
-            resolved = payloads.get(key)
-            if resolved is not None:
-                event = layout.cls.from_values(values[0], values[1], vm_id, snap, resolved)
-            else:
-                resolved = self._resolve(layout.kinds, key)
+            at = pos + _PAYLOAD_AT
+            key = buf[at : at + layout.payload.size]
+            checked = payloads.get(key)
+            if checked is None:
+                resolved = self._resolve(layout.kinds, layout.payload.unpack(key))
                 event = GuestEvent.from_record(dict(
                     zip(layout.cls.RECORD_KEYS, resolved),
-                    type=layout.value, t=values[0], vcpu=values[1], vm=vm_id,
+                    type=layout.value, t=t_ns, vcpu=vcpu, vm=vm_id,
                 ))
                 event.hw_state = snap
-                payloads[key] = resolved
-            return (
-                values[0], event,
-                self._task_info(values, layout.task),
-                self._task_info(values, layout.parent),
-            )
+                # A copy, so a consumer that edits this event's dicts
+                # does not reach the repeats.
+                payloads[key] = layout.cls.from_checked(
+                    t_ns, vcpu, vm_id, snap, event.__dict__
+                ).__dict__
+            else:
+                event = layout.cls.from_checked(t_ns, vcpu, vm_id, snap, checked)
+            task = parent = None
+            if layout.task is not None:
+                at = pos + layout.task
+                block = buf[at : at + _TASK.size]
+                task = self._tasks.get(block) or self._task_info(block)
+            if layout.parent is not None:
+                at = pos + layout.parent
+                block = buf[at : at + _TASK.size]
+                parent = self._tasks.get(block) or self._task_info(block)
+            return t_ns, event, task, parent
         except _BAD_REFERENCE as exc:
             return self._bad_reference(layout, pos, exc)
 
     def iter_decoded(self):
         """The replay decoder, eager: what :class:`ReplaySource` feeds.
 
-        A fixed-layout record becomes ``(t_ns, event, task, parent)``,
-        unpacked in one ``struct`` call and built by the same per-type
-        decoder as the dict path (see :meth:`_decode_at`).  A JSON
-        escape yields its payload verbatim (a
-        record dict, for replay to decode).  A record whose references
-        do not resolve yields a :class:`TraceFormatError` carrying its
-        position, which replay counts as a ``decode`` rejection; framing
-        damage raises.
+        A fixed-layout record becomes ``(t_ns, event, task, parent)``
+        (see :meth:`_decode_at`).  A JSON escape yields its payload
+        verbatim (a record dict, for replay to decode).  A record whose
+        references do not resolve yields a :class:`TraceFormatError`
+        carrying its position, which replay counts as a ``decode``
+        rejection.  Framing damage (unknown tag, overrun, early end, bad
+        escape) raises with ``records_read`` context.
         """
+        buf = self._buf
+        end = self._body_end
+        pos = self._body_start
+        remaining = self.record_count
         decode = self._decode_at
-        for frame in self._frames():
-            yield decode(*frame) if type(frame) is tuple else frame
+        while remaining > 0 and pos < end:
+            tag = buf[pos]
+            if tag == _TAG_ESCAPE:
+                record, pos = self._escape_at(pos)
+                self.records_read += 1
+                remaining -= 1
+                yield record
+                continue
+            layout = _LAYOUTS[tag] or _layout(tag)
+            if layout is None:
+                raise self._corrupt(f"unknown record tag {tag:#04x}")
+            if pos + layout.size > end:
+                raise self._corrupt("record overruns the body")
+            at = pos
+            pos += layout.size
+            self.records_read += 1
+            remaining -= 1
+            yield decode(layout, at)
+        if remaining > 0:
+            raise self._corrupt("record region ended early")
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         """Raw record dicts in file order — :class:`TraceReader` parity —
@@ -789,6 +792,23 @@ class BinaryTraceReader:
             elif isinstance(item, TraceFormatError):
                 raise item
             yield item
+
+    def read_trace(self) -> Trace:
+        """The whole trace (peer of :meth:`TraceReader.read_trace`);
+        closes the reader.  The body is decoded once, eagerly, into the
+        items replay feeds; record dicts are built from the same bytes
+        only if ``Trace.records`` is read."""
+        path = self.path
+        data = self._buf if self._mm is None else None  # mapped: reopen
+        try:
+            body = list(self.iter_decoded())
+        finally:
+            self.close()
+        return Trace(
+            header=self.header,
+            body=body,
+            load_records=lambda: list(BinaryTraceReader(path, data=data)),
+        )
 
     def close(self) -> None:
         if self._mm is not None:
@@ -808,15 +828,6 @@ class BinaryTraceReader:
 # ======================================================================
 # Whole-trace / conversion / sniffing helpers
 # ======================================================================
-def is_btrace_path(path: str) -> bool:
-    """Magic-byte sniff (never trusts the extension)."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
-
-
 def is_btrace_bytes(data: bytes) -> bool:
     return data[: len(MAGIC)] == MAGIC
 
@@ -831,39 +842,40 @@ def save_btrace(path: str, trace: Trace) -> None:
 
 
 def load_btrace(path: Optional[str] = None, data: Optional[bytes] = None) -> Trace:
-    """Read a whole btrace into the standard in-memory :class:`Trace`.
-
-    The body is decoded once, eagerly (:meth:`BinaryTraceReader.iter_decoded`),
-    into the items replay feeds; the record dicts are built from the
-    same bytes only if ``Trace.records`` is read.
-    """
+    """Read a whole btrace, from ``path`` or the image ``data``, into
+    the standard in-memory :class:`Trace` (see
+    :meth:`BinaryTraceReader.read_trace`)."""
     if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    reader = BinaryTraceReader(path, data=data)
-    try:
-        body = list(reader.iter_decoded())
-    finally:
-        reader.close()
-    return Trace(
-        header=reader.header,
-        body=body,
-        load_records=lambda: list(BinaryTraceReader(path, data=data)),
-    )
+        data = read_input(path)
+    return BinaryTraceReader(path, data=data).read_trace()
+
+
+def open_trace(
+    path: str, data: Optional[bytes] = None
+) -> Union[BinaryTraceReader, TraceReader]:
+    """A reader of the trace at ``path`` (``-``: stdin), or of ``data``
+    that ``path`` then only names, whatever its container format.
+
+    The one container sniff: btrace by its magic, else JSONL, gzipped
+    or not (see :func:`~repro.replay.trace_io.text_stream`).  The bytes
+    decide, never the name, and the input is read once.
+    """
+    name = STDIN_NAME if path == "-" else path
+    if data is None:
+        data = read_input(path)
+    if is_btrace_bytes(data):
+        return BinaryTraceReader(name, data=data)
+    return TraceReader(name, data=data)
 
 
 def load_any_trace(path: str) -> Trace:
-    """Load a trace whatever its container format (btrace, JSONL, gzip).
+    """Load a trace whatever its container format (see :func:`open_trace`).
 
     This is how every consumer — ``replay``/``fuzz`` CLIs, the fuzz and
     campaign loops, ``repro.serve`` stream sources, ``repro.obs`` —
     accepts both formats transparently.
     """
-    from repro.replay.trace_io import load_trace
-
-    if is_btrace_path(path):
-        return load_btrace(path)
-    return load_trace(path)
+    return open_trace(path).read_trace()
 
 
 def convert_trace(src: str, dst: str, to: Optional[str] = None) -> Dict[str, Any]:
@@ -875,51 +887,50 @@ def convert_trace(src: str, dst: str, to: Optional[str] = None) -> Dict[str, Any
     line (and streaming footer, when present) is carried verbatim.
     Returns a small summary dict for the CLI.
     """
-    from repro.replay.trace_io import TraceReader, _open
-
-    src_is_btrace = is_btrace_path(src)
-    if to is None:
-        to = "jsonl" if src_is_btrace else "btrace"
-    if to not in ("jsonl", "btrace"):
+    if to not in (None, "jsonl", "btrace"):
         raise TraceFormatError(f"unknown conversion target {to!r}")
-
-    if to == "btrace":
-        if src_is_btrace:
-            raise TraceFormatError(f"{src}: already a btrace file")
-        reader = TraceReader(src)
-        writer = BinaryTraceWriter(dst, reader.header, header_line=reader.header_line)
-        try:
-            for record in reader:
-                writer.write_record(record)
-        finally:
-            reader.close()
-        writer.footer_record = reader.footer
-        writer.close(end_ns=reader.header.end_ns)
-        return {
-            "records": writer.records_written,
-            "escapes": writer.escapes,
-            "format": "btrace",
-            "strings": len(writer._strings),
-        }
-
-    if not src_is_btrace:
-        raise TraceFormatError(f"{src}: not a btrace file (nothing to convert)")
-    reader = BinaryTraceReader(src)
-    records = 0
+    reader = open_trace(src)
     try:
-        with _open(dst, "w") as fh:
-            fh.write(reader.header_line + "\n")
-            batch: List[str] = []
-            for record in reader:
-                batch.append(_encode(record) + "\n")
-                records += 1
-                if len(batch) >= 256:
-                    fh.write("".join(batch))
-                    batch.clear()
-            if reader.footer is not None:
-                batch.append(_encode(reader.footer) + "\n")
-            if batch:
-                fh.write("".join(batch))
+        if isinstance(reader, TraceReader):
+            if to == "jsonl":
+                raise TraceFormatError(
+                    f"{src}: not a btrace file (nothing to convert)"
+                )
+            return _to_btrace(reader, dst)
+        if to == "btrace":
+            raise TraceFormatError(f"{src}: already a btrace file")
+        return _to_jsonl(reader, dst)
     finally:
         reader.close()
+
+
+def _to_btrace(reader: TraceReader, dst: str) -> Dict[str, Any]:
+    writer = BinaryTraceWriter(dst, reader.header, header_line=reader.header_line)
+    for record in reader:
+        writer.write_record(record)
+    writer.footer_record = reader.footer
+    writer.close(end_ns=reader.header.end_ns)
+    return {
+        "records": writer.records_written,
+        "escapes": writer.escapes,
+        "format": "btrace",
+        "strings": len(writer._strings),
+    }
+
+
+def _to_jsonl(reader: BinaryTraceReader, dst: str) -> Dict[str, Any]:
+    records = 0
+    with _create(dst) as fh:
+        fh.write(reader.header_line + "\n")
+        batch: List[str] = []
+        for record in reader:
+            batch.append(_encode(record) + "\n")
+            records += 1
+            if len(batch) >= 256:
+                fh.write("".join(batch))
+                batch.clear()
+        if reader.footer is not None:
+            batch.append(_encode(reader.footer) + "\n")
+        if batch:
+            fh.write("".join(batch))
     return {"records": records, "escapes": 0, "format": "jsonl", "strings": 0}

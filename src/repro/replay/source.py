@@ -142,11 +142,11 @@ class ReplayHyperTap:
         return max(0, len(self._pdbas) - 1)
 
     # -- stream bookkeeping --------------------------------------------
-    def observe(self, event: GuestEvent) -> None:
-        if isinstance(event, ProcessSwitchEvent):
-            for pdba in (event.new_pdba, event.old_pdba):
-                if pdba:
-                    self._pdbas.add(pdba)
+    def observe(self, event: ProcessSwitchEvent) -> None:
+        """Note one replayed process switch's PDBAs."""
+        for pdba in (event.new_pdba, event.old_pdba):
+            if pdba:
+                self._pdbas.add(pdba)
 
 
 @dataclass
@@ -261,8 +261,7 @@ class ReplaySource:
         engine = self.engine
         if t_ns <= engine.clock.now:
             return True
-        queue = engine._queue
-        if queue and queue[0][0] <= t_ns:
+        if engine.due_by(t_ns):
             engine.run_until(t_ns, max_events=_MAX_TIMER_EVENTS_PER_RECORD)
             return engine.clock.now == t_ns
         # Nothing due before the target: just move the clock.
@@ -382,11 +381,14 @@ class ReplaySource:
             except Exception:  # noqa: BLE001 - the replay container boundary
                 report.scan_errors += 1
             return
-        self.hypertap.deriver.observe(payload, task, parent)
-        self.hypertap.observe(payload)
-        self._sampler.observe(
-            t_ns if self.perturb is None else self.engine.clock.now
-        )
+        if task is not None or parent is not None:
+            self.hypertap.deriver.observe(payload, task, parent)
+        if type(payload) is ProcessSwitchEvent:
+            self.hypertap.observe(payload)
+        if self.rhc is not None:
+            self._sampler.observe(
+                t_ns if self.perturb is None else self.engine.clock.now
+            )
         self.fanout.publish(payload)
         report.events_replayed += 1
 

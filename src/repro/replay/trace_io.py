@@ -18,6 +18,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import sys
 import zlib
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -34,11 +35,37 @@ from repro.replay.format import (
 )
 
 
-def _open(path: str, mode: str):
-    """Text-mode file handle; transparent gzip for ``*.gz`` paths."""
+#: First bytes of every gzip stream.
+GZIP_MAGIC = b"\x1f\x8b"
+
+#: What messages call the input of a ``-`` path.
+STDIN_NAME = "<stdin>"
+
+
+def _create(path: str):
+    """Text-mode file handle for writing; gzip for ``*.gz`` paths (the
+    name picks the output format; readers go by content)."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        return gzip.open(path, "wt", encoding="utf-8")
+    return open(path, "w", encoding="utf-8")
+
+
+def read_input(path: str) -> bytes:
+    """All bytes of the file at ``path``; ``-`` reads stdin."""
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def text_stream(data: bytes) -> io.TextIOWrapper:
+    """JSONL bytes as a text stream.  Bytes that start with the gzip
+    magic are gunzipped as they are read, so a broken stream surfaces
+    mid-read, after the records before the break."""
+    raw: Any = io.BytesIO(data)
+    if data[:2] == GZIP_MAGIC:
+        raw = gzip.GzipFile(fileobj=raw)
+    return io.TextIOWrapper(raw, encoding="utf-8")
 
 
 #: One reusable encoder for every record (``json.dumps`` constructs a
@@ -74,7 +101,7 @@ class TraceWriter:
         self.header = header
         self.event_counts: Dict[str, int] = {}
         self.records_written = 0
-        self._fh = _open(self.path, "w")
+        self._fh = _create(self.path)
         self._closed = False
         self._buffer: List[str] = []
         self._flush_every = max(1, int(flush_every))
@@ -145,18 +172,19 @@ class TraceReader:
     as a complete trace.
     """
 
-    def __init__(self, path: str, text: Optional[str] = None) -> None:
-        """Read the file at ``path``, or the JSONL ``text`` (which
-        ``path`` then only names in messages)."""
-        self.path = str(path)
-        self._fh = _open(self.path, "r") if text is None else io.StringIO(text)
+    def __init__(self, path: str, data: Optional[bytes] = None) -> None:
+        """Read the file at ``path`` (``-``: stdin), or the in-memory
+        trace ``data``, which ``path`` then only names in messages;
+        gzip is told by its magic (see :func:`text_stream`)."""
+        self.path = STDIN_NAME if path == "-" else str(path)
+        self._fh = text_stream(read_input(path) if data is None else data)
         self.footer: Optional[Dict[str, Any]] = None
         self.malformed_lines = 0
         #: Body records yielded so far (the in-band header is not one).
         self.records_read = 0
         try:
             first = self._fh.readline()
-            while text is not None and first and not first.strip():
+            while first and not first.strip():
                 first = self._fh.readline()  # piped text may lead with blank lines
         except _STREAM_ERRORS as exc:
             self._fh.close()
@@ -235,6 +263,14 @@ class TraceReader:
         finally:
             self._fh.close()
 
+    def read_trace(self) -> Trace:
+        """The whole trace in memory (header counts folded in)."""
+        records: List[Dict[str, Any]] = list(self)
+        trace = Trace(header=self.header, records=records)
+        if not trace.header.event_counts:
+            trace.recount()
+        return trace
+
     def close(self) -> None:
         self._fh.close()
 
@@ -251,7 +287,7 @@ class TraceReader:
 def save_trace(path: str, trace: Trace) -> None:
     """Write a complete in-memory trace; the header carries the counts."""
     trace.recount()
-    with _open(str(path), "w") as fh:
+    with _create(str(path)) as fh:
         fh.write(_encode(trace.header.to_record()) + "\n")
         # Batched line assembly: one write per batch, not two per record.
         batch: List[str] = []
@@ -264,23 +300,9 @@ def save_trace(path: str, trace: Trace) -> None:
             fh.write("".join(batch))
 
 
-def load_trace(path: str, text: Optional[str] = None) -> Trace:
-    """Read a whole trace into memory (header counts folded in)."""
-    reader = TraceReader(path, text=text)
-    records: List[Dict[str, Any]] = list(reader)
-    trace = Trace(header=reader.header, records=records)
-    if not trace.header.event_counts:
-        trace.recount()
-    return trace
-
-
-def loads_trace(text: str) -> Trace:
-    """Parse a JSONL string into a trace (inverse of :func:`dumps_trace`).
-
-    Same line semantics as :class:`TraceReader`; this is what lets
-    ``repro.obs`` accept a trace on stdin (``report -``).
-    """
-    return load_trace("<stream>", text=text)
+def load_trace(path: str, data: Optional[bytes] = None) -> Trace:
+    """Read a whole JSONL trace into memory (header counts folded in)."""
+    return TraceReader(path, data=data).read_trace()
 
 
 def dumps_trace(trace: Trace) -> str:

@@ -158,6 +158,12 @@ class Engine:
         """Number of queued, non-cancelled events (O(1) live counter)."""
         return self._pending
 
+    def due_by(self, t_ns: int) -> bool:
+        """Whether the earliest queued event falls due at or before
+        ``t_ns`` (a cancelled one counts: ``run_until`` skips it)."""
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= t_ns
+
     def stop(self) -> None:
         """Request that the event loop stop before firing another event.
 

@@ -31,6 +31,7 @@ import sys
 
 import pytest
 
+from repro.core.events import EVENT_CLASSES, GuestEvent
 from repro.errors import TraceFormatError
 from repro.hw.exits import ExitReason
 from repro.obs.metrics import MetricsRegistry
@@ -43,9 +44,9 @@ from repro.replay.btrace import (
     BinaryTraceWriter,
     convert_trace,
     is_btrace_bytes,
-    is_btrace_path,
     load_any_trace,
     load_btrace,
+    open_trace,
     save_btrace,
 )
 from repro.replay.format import Trace, TraceHeader, scan_marker
@@ -103,8 +104,22 @@ class TestConversion:
         # A btrace container under a misleading name still sniffs right.
         path = str(tmp_path / "lying.jsonl.gz")
         save_btrace(path, exploit_run.trace)
-        assert is_btrace_path(path)
+        with open_trace(path) as reader:
+            assert isinstance(reader, BinaryTraceReader)
         assert load_any_trace(path).records == exploit_run.trace.records
+
+    def test_plain_jsonl_under_a_gz_name_reads_everywhere(self, tmp_path, exploit_run):
+        # gzip is told by its magic too: every reader agrees on the file.
+        path = str(tmp_path / "plain.jsonl.gz")
+        save_trace(str(tmp_path / "t.jsonl"), exploit_run.trace)
+        with open(tmp_path / "t.jsonl", "rb") as src, open(path, "wb") as dst:
+            dst.write(src.read())
+        assert load_any_trace(path).records == exploit_run.trace.records
+        assert load_trace(path).records == exploit_run.trace.records
+        registry = MetricsRegistry()
+        assert load_trace_observed(path, registry).records == exploit_run.trace.records
+        convert_trace(path, str(tmp_path / "t.btr"))
+        assert load_btrace(str(tmp_path / "t.btr")).records == exploit_run.trace.records
 
     def test_is_btrace_bytes(self, tmp_path, exploit_run):
         path = str(tmp_path / "t.btr")
@@ -168,6 +183,118 @@ class TestDecodeEquivalence:
         writer.close()
         trace = load_btrace(data=buf.getvalue())
         assert trace.records == exploit_run.trace.records
+
+
+#: ``json``-kind payloads a repeated record carries: flat, and with a
+#: nested container holding an ``$enum`` tag.
+_REPEAT_JSON = {
+    "flat": {"port": 96, "size": 1},
+    "nested-enum": {
+        "inner": {"reason": {"$enum": "ExitReason", "v": ExitReason.HLT.value}},
+        "seen": [1, 2],
+    },
+}
+
+
+def _sample_payload(cls, json_value):
+    """One record payload of ``cls`` with a value of each field's kind."""
+    values = {
+        "int": 7, "str": "pio", "ints": [1, 2],
+        "reason": ExitReason.HLT.value, "json": json_value,
+    }
+    return {key: copy.deepcopy(values[kind]) for key, _, kind in cls.CODEC}
+
+
+_REPEAT_CASES = [
+    (value, name)
+    for value, cls in sorted(EVENT_CLASSES.items())
+    for name in (
+        _REPEAT_JSON if any(kind == "json" for _, _, kind in cls.CODEC)
+        else ["flat"]
+    )
+]
+
+
+class TestRepeatedPayload:
+    """A payload seen before is built from the attributes its first
+    record's check produced: the event must equal the dict decode, and
+    share no container with any other event."""
+
+    @pytest.mark.parametrize(
+        "value, json_name", _REPEAT_CASES,
+        ids=[f"{value}-{name}" for value, name in _REPEAT_CASES],
+    )
+    def test_repeat_equals_dict_decode_and_shares_no_container(
+        self, tmp_path, monkeypatch, value, json_name
+    ):
+        cls = EVENT_CLASSES[value]
+        payload = _sample_payload(cls, _REPEAT_JSON[json_name])
+        records = [
+            {"kind": "event", "type": value, "t": t, "vcpu": 0, "vm": "vm0",
+             "hw": _HW, **payload}
+            for t in (1000, 2000, 3000)
+        ]
+        path = str(tmp_path / "repeat.btr")
+        writer = BinaryTraceWriter(path, TraceHeader(vm_id="vm0", end_ns=10_000))
+        for record in records:
+            writer.write_record(record)
+        writer.close()
+        assert writer.escapes == 0
+        expected = [GuestEvent.from_record(record) for record in records]
+        json_attrs = [attr for _, attr, kind in cls.CODEC if kind == "json"]
+
+        checks = []
+        from_record = GuestEvent.from_record
+        monkeypatch.setattr(GuestEvent, "from_record", staticmethod(
+            lambda record: checks.append(record) or from_record(record)
+        ))
+        reader = BinaryTraceReader(path)
+        try:
+            items = reader.iter_decoded()
+            events = [next(items)[1]]
+            # Mutating the first event's containers must not reach the
+            # repeats decoded after it.
+            assert events[0] == expected[0]
+            for attr in json_attrs:
+                _mutate(getattr(events[0], attr))
+            events += [item[1] for item in items]
+        finally:
+            reader.close()
+        assert len(checks) == 1  # one check per distinct payload
+
+        first, second, third = events
+        assert list(vars(first)) == list(vars(expected[0]))
+        for event, want in zip((second, third), expected[1:]):
+            assert type(event) is cls
+            assert event == want
+            assert list(vars(event)) == list(vars(want))
+        for attr in json_attrs:
+            a, b = getattr(second, attr), getattr(third, attr)
+            assert not _shared_containers(a, b)
+            _mutate(a)
+            assert b == getattr(expected[2], attr)
+
+
+def _mutate(value):
+    """Change ``value`` and every dict or list nested in it in place."""
+    if isinstance(value, dict):
+        for v in list(value.values()):
+            _mutate(v)
+        value["mutated"] = True
+    elif isinstance(value, list):
+        for v in value:
+            _mutate(v)
+        value.append("mutated")
+
+
+def _shared_containers(a, b) -> bool:
+    """Do ``a`` and ``b`` share a dict or list, at any depth?"""
+    def containers(value):
+        if isinstance(value, (dict, list)):
+            yield id(value)
+            for v in value.values() if isinstance(value, dict) else value:
+                yield from containers(v)
+    return bool(set(containers(a)) & set(containers(b)))
 
 
 class TestRandomAccess:

@@ -5,9 +5,10 @@ must turn bad input — missing files, malformed traces, dead sockets,
 unknown names — into a **one-line** ``error:`` message on stderr and
 exit code 2.  Tracebacks are for bugs, not for typos.
 
-Also covers the stdin conveniences: ``obs report``/``top``/``diff``
-accept ``-`` (plain or gzipped), so serve and replay output pipes
-straight into triage without temp files.
+Also covers the stdin conveniences: ``replay replay`` and ``obs
+report``/``top``/``diff`` accept ``-`` (plain or gzipped JSONL, or
+btrace), so serve and replay output pipes straight into triage without
+temp files.
 """
 
 from __future__ import annotations
@@ -123,15 +124,19 @@ class TestCoercedHeader:
 
     def test_every_cli_mouth_exits_2_with_one_line(self, hostile, monkeypatch, capsys):
         jsonl, btr, message = hostile
-        with open(jsonl, "rb") as fh:
-            feed_stdin(monkeypatch, fh.read())
-        for which, argv in (
-            ("replay", ["replay", jsonl]),
-            ("replay", ["replay", btr]),
-            ("obs", ["report", "-"]),
+        for which, argv, stdin in (
+            ("replay", ["replay", jsonl], None),
+            ("replay", ["replay", btr], None),
+            ("replay", ["replay", "-"], jsonl),
+            ("replay", ["replay", "-"], btr),
+            ("obs", ["report", "-"], jsonl),
+            ("obs", ["report", "-"], btr),
         ):
+            if stdin is not None:
+                with open(stdin, "rb") as fh:
+                    feed_stdin(monkeypatch, fh.read())
             code, captured = run_cli(which, argv, capsys)
-            assert code == 2, f"{which} {argv}"
+            assert code == 2, f"{which} {argv} < {stdin}"
             [line] = [ln for ln in captured.err.splitlines() if ln.strip()]
             assert line.startswith("error:") and message in line
 
@@ -158,6 +163,44 @@ class TestStdinSupport:
         code, from_stdin = run_cli("obs", ["report", "-"], capsys)
         assert code == 0
         assert from_stdin.out == from_path.out
+
+    @pytest.mark.parametrize("encode", [bytes, gzip.compress], ids=["plain", "gzip"])
+    def test_replay_from_stdin_matches_replay_from_path(
+        self, monkeypatch, capsys, golden_trace_text, encode
+    ):
+        _, from_path = run_cli(
+            "replay", ["replay", "tests/data/golden_exploit.jsonl"], capsys
+        )
+        feed_stdin(monkeypatch, encode(golden_trace_text.encode("utf-8")))
+        code, from_stdin = run_cli("replay", ["replay", "-"], capsys)
+        assert code == 0
+        assert "REPRODUCED" in from_stdin.out
+        # Wall-clock and path lines differ; the verdict block must not.
+        verdicts = lambda text: text[text.index("replay verdicts:"):]  # noqa: E731
+        assert verdicts(from_stdin.out) == verdicts(from_path.out)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"not a trace\n", b"\xff\xfe\n", b"\x1f\x8b\x08\x00garbage",
+         b"HTBT\x01\r\n\x00truncated"],
+        ids=["empty", "not-json", "not-utf8", "bad-gzip", "bad-btrace"],
+    )
+    def test_bad_stdin_exits_2_with_one_line(self, monkeypatch, capsys, data):
+        for which, argv in (("replay", ["replay", "-"]), ("obs", ["report", "-"])):
+            feed_stdin(monkeypatch, data)
+            code, captured = run_cli(which, argv, capsys)
+            assert code == 2, f"{which} {argv}"
+            [line] = [ln for ln in captured.err.splitlines() if ln.strip()]
+            assert line.startswith("error:")
+
+    def test_truncated_gzip_export_on_stdin_exits_2(self, monkeypatch, capsys):
+        with open("tests/data/golden_exploit_obs.jsonl", "rb") as fh:
+            packed = gzip.compress(fh.read())
+        feed_stdin(monkeypatch, packed[: len(packed) // 2])
+        code, captured = run_cli("obs", ["top", "-"], capsys)
+        assert code == 2
+        [line] = [ln for ln in captured.err.splitlines() if ln.strip()]
+        assert line.startswith("error:") and "truncated export" in line
 
     def test_top_reads_an_export_from_stdin(self, monkeypatch, capsys):
         with open("tests/data/golden_exploit_obs.jsonl", "rb") as fh:
@@ -245,6 +288,15 @@ class TestBtraceSupport:
         code, from_stdin = run_cli("obs", ["report", "-"], capsys)
         assert code == 0
         assert from_stdin.out == from_path.out
+
+    def test_replay_btrace_on_stdin(self, monkeypatch, capsys, golden_btrace):
+        _, from_path = run_cli("replay", ["replay", golden_btrace], capsys)
+        with open(golden_btrace, "rb") as fh:
+            feed_stdin(monkeypatch, fh.read())
+        code, from_stdin = run_cli("replay", ["replay", "-"], capsys)
+        assert code == 0
+        verdicts = lambda text: text[text.index("replay verdicts:"):]  # noqa: E731
+        assert verdicts(from_stdin.out) == verdicts(from_path.out)
 
     def test_obs_top_btrace_on_stdin(self, monkeypatch, capsys, golden_btrace):
         with open(golden_btrace, "rb") as fh:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.events import (
+    EVENT_CLASSES,
     EventType,
     REQUIRED_EXIT_REASONS,
     SyscallEvent,
@@ -56,6 +57,14 @@ class TestEventModel:
             time_ns=0, vcpu_index=0, vm_id="vm0", hw_state=None, number=1
         )
         assert event.type is EventType.SYSCALL
+
+    @pytest.mark.parametrize("value", sorted(EVENT_CLASSES))
+    def test_type_is_a_class_attribute_not_a_field(self, value):
+        # Not a field, so to_record, equality and repr stay as they were.
+        cls = EVENT_CLASSES[value]
+        assert cls.type.value == value
+        assert "type" not in {f.name for f in dataclasses.fields(cls)}
+        assert "type=" not in repr(cls(time_ns=0, vcpu_index=0, vm_id="vm0", hw_state=None))
 
 
 class TestExitRecords:

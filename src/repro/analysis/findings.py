@@ -10,8 +10,8 @@ what it says) does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Any, Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -39,16 +39,3 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-
-
-@dataclass
-class FindingList:
-    """Mutable accumulator with stable ordering."""
-
-    items: List[Finding] = field(default_factory=list)
-
-    def add(self, finding: Finding) -> None:
-        self.items.append(finding)
-
-    def sorted(self) -> List[Finding]:
-        return sorted(self.items, key=lambda f: (f.path, f.line, f.col, f.rule, f.message))

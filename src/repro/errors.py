@@ -41,10 +41,6 @@ class GuestPageFault(GuestFault):
         self.access = access
 
 
-class TripleFault(GuestFault):
-    """The guest reached an unrecoverable state (e.g. bad CR3 load)."""
-
-
 class MonitorError(ReproError):
     """An auditor or monitoring component failed at runtime."""
 
@@ -56,20 +52,17 @@ class AuditorCrash(MonitorError):
 class TraceFormatError(MonitorError):
     """A recorded trace (or one of its records) could not be decoded.
 
-    Raised by the event codecs and the ``repro.replay`` readers on
-    malformed input; replay tooling treats it as a *graceful* rejection
-    (the record is counted and skipped), never a crash.
+    Raised by the event codecs on a malformed record, and by the
+    ``repro.replay`` readers on a broken stream; a reader that can still
+    frame what follows leaves one in the trace body in place of the
+    record instead.  Replay treats a record's error as a *graceful*
+    rejection (the record is counted and skipped), never a crash.
 
-    ``records_read`` carries how many records were successfully decoded
-    before the failure, when the raiser knows (stream readers do; the
-    per-record codecs leave it ``None``).  Salvage tooling uses it to
-    account what a truncated stream still yielded.
+    ``records_read`` carries how many body records came before the
+    failure, when the raiser knows (the readers do; the per-record
+    codecs leave it ``None``).
     """
 
     def __init__(self, message: str, records_read=None) -> None:
         super().__init__(message)
         self.records_read = records_read
-
-
-class VmxError(SimulationError):
-    """Invalid use of the virtual VMX facilities (VMCS misconfiguration)."""

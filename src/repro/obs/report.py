@@ -88,17 +88,21 @@ def collect_live(scenario: str, seed: int = 0) -> Dict[str, Any]:
     return record_scenario(scenario, seed=seed).metrics
 
 
-def collect_replay(trace: Any, span_sink: Any = None) -> Dict[str, Any]:
+def collect_replay(
+    trace: Any, span_sink: Any = None, registry: Optional[MetricsRegistry] = None
+) -> Dict[str, Any]:
     """Replay a trace through fresh scenario auditors; snapshot.
 
     ``span_sink`` (a callable) streams every completed span past the
     registry's ring bound — the full-fidelity capture the trace
-    exporter uses.
+    exporter uses.  ``registry`` may already hold rows (the load's
+    salvage counts); a fresh one is used otherwise.
     """
     from repro.replay.source import ReplaySource
     from repro.replay.recorder import auditors_for
 
-    registry = MetricsRegistry()
+    if registry is None:
+        registry = MetricsRegistry()
     if span_sink is not None:
         registry.set_span_sink(span_sink)
     ReplaySource(trace, auditors_for(trace), metrics=registry).run()
@@ -110,51 +114,32 @@ def load_trace_observed(
 ):
     """Load a trace, counting stream truncation instead of raising.
 
-    A corrupt/truncated stream normally surfaces as a
-    :class:`TraceFormatError`; here the error's ``records_read`` context
-    becomes counted drop evidence — the partial prefix is returned and
-    the registry shows exactly where the stream ended:
+    ``path`` and ``data`` are read as
+    :func:`~repro.replay.btrace.load_any_trace` reads them, and the
+    trace holds the same body items.  A cut in the stream normally
+    raises :class:`TraceFormatError`; here the items before the cut
+    are returned and the registry shows exactly where the stream ended:
 
-    * ``trace.records_salvaged{vm}`` — records recovered before the cut
+    * ``trace.records_salvaged{vm}`` — body items recovered before the cut
     * ``flow.dropped{vm, stage=trace-read, reason=truncated-stream}``
 
-    A btrace record whose table references do not resolve is no cut:
-    it has no dict, so its :class:`BadReferenceError` propagates.  So
-    do open errors: a btrace without its trailer is unreadable by
+    A record that is damaged but framed (a JSONL line that is not JSON,
+    a btrace reference that does not resolve) is no cut: it stays in
+    the body for replay to count as a ``decode`` rejection.  Open
+    errors still raise: a btrace without its trailer is unreadable by
     construction (the interning tables live at EOF), like a JSONL
     trace without a readable header.
-
-    ``path`` and ``data`` are read as :func:`~repro.replay.btrace.open_trace`
-    reads them.
     """
-    from repro.replay.btrace import BadReferenceError, open_trace
-    from repro.replay.format import Trace
+    from repro.replay.btrace import load_any_trace
 
-    reader = open_trace(path, data)
-    vm_id = reader.header.vm_id
-    records: List[Dict[str, Any]] = []
-    try:
-        for record in reader:
-            records.append(record)
-    except BadReferenceError:
-        raise
-    except TraceFormatError as exc:
-        salvaged = exc.records_read
-        if salvaged is None:
-            salvaged = len(records)
-        registry.inc("trace.records_salvaged", n=salvaged, vm=vm_id)
+    def salvage(trace) -> None:
+        vm_id = trace.header.vm_id
+        registry.inc("trace.records_salvaged", n=len(trace.body), vm=vm_id)
         registry.inc(
-            "flow.dropped",
-            vm=vm_id,
-            stage="trace-read",
-            reason="truncated-stream",
+            "flow.dropped", vm=vm_id, stage="trace-read", reason="truncated-stream"
         )
-    finally:
-        reader.close()
-    trace = Trace(header=reader.header, records=records)
-    if not trace.header.event_counts:
-        trace.recount()
-    return trace
+
+    return load_any_trace(path, data, on_cut=salvage)
 
 
 def collect_trace(
@@ -165,15 +150,9 @@ def collect_trace(
     ``span_sink`` streams completed spans past the ring bound (see
     :func:`collect_replay`).
     """
-    from repro.replay.source import ReplaySource
-    from repro.replay.recorder import auditors_for
-
     registry = MetricsRegistry()
-    if span_sink is not None:
-        registry.set_span_sink(span_sink)
     trace = load_trace_observed(path, registry, data)
-    ReplaySource(trace, auditors_for(trace), metrics=registry).run()
-    return registry.snapshot()
+    return collect_replay(trace, span_sink, registry)
 
 
 def _collect_task(task: Tuple[str, int, str]) -> Dict[str, Any]:

@@ -7,6 +7,8 @@ stream.  This package makes that stream a first-class artifact:
   for every :class:`~repro.core.events.GuestEvent` class;
 * :mod:`repro.replay.trace_io` — streaming :class:`TraceWriter` /
   :class:`TraceReader` with gzip support and an in-band header;
+* :mod:`repro.replay.btrace` — the binary format, and
+  :func:`load_any_trace`, the one whole-trace loader for either;
 * :mod:`repro.replay.recorder` — a recording auditor plus named
   scenarios that produce replayable traces from live simulations;
 * :mod:`repro.replay.source` — a :class:`ReplaySource` that re-audits
@@ -30,7 +32,7 @@ from repro.replay.recorder import (
     record_scenario,
 )
 from repro.replay.source import ReplayReport, ReplaySource
-from repro.replay.trace_io import TraceReader, TraceWriter, load_trace, save_trace
+from repro.replay.trace_io import TraceReader, TraceWriter, save_trace
 
 __all__ = [
     "FORMAT_VERSION",
@@ -44,7 +46,6 @@ __all__ = [
     "TraceMutator",
     "TraceReader",
     "TraceWriter",
-    "load_trace",
     "normalize_alerts",
     "record_scenario",
     "save_trace",

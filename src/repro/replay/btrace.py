@@ -34,16 +34,19 @@ syscall arg vectors are packed u64 blobs.
 The payload fields, their order and their kinds are each event
 class's ``CODEC`` table in :mod:`repro.core.events`; this module only
 says how each kind is packed.  Replay reads eagerly:
-:meth:`BinaryTraceReader.iter_decoded` unpacks each fixed-layout
+iterating a :class:`BinaryTraceReader` unpacks each fixed-layout
 record's common prefix and reads its payload, hw and task blocks as
 bytes.  Each distinct payload is checked once: its references are
 resolved and its first record is built by the dict path's decoder,
 ``GuestEvent.from_record``; repeats copy its checked attributes
 (``from_checked``, compiled in :mod:`repro.core.events`), with fresh
 ``json`` dicts.  Each distinct hw or task block is unpacked and
-built once, and equal ones share the frozen result.  Record dicts
-are built only for consumers that ask (``Trace.records``, ``convert``),
-from events.
+built once, and equal ones share the frozen result.  The reader frames
+and decodes but judges nothing: a record whose references do not
+resolve becomes a :class:`TraceFormatError` item in its place, which
+replay counts as a ``decode`` rejection.  Record dicts are built only
+for consumers that ask (``Trace.records``, ``convert``), from the
+items, by :func:`~repro.replay.format.record_of`.
 
 The header line is stored *verbatim* (and the JSONL footer, when the
 source stream had one), so ``convert`` round-trips canonically-written
@@ -63,7 +66,7 @@ import json
 import mmap
 import struct
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type, Union
 
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import EVENT_CLASSES, GuestEvent, snapshot_of
@@ -75,9 +78,10 @@ from repro.replay.format import (
     Trace,
     TraceHeader,
     event_to_record,
+    record_of,
     task_of,
 )
-from repro.replay.trace_io import STDIN_NAME, TraceReader, _create, read_input
+from repro.replay.trace_io import STDIN_NAME, TraceFramer, TraceReader, _create, read_input
 
 #: First bytes of every btrace file.  Distinct from gzip (``\x1f\x8b``)
 #: and from any JSON/JSONL first byte, so one 8-byte sniff classifies
@@ -310,17 +314,19 @@ class BinaryTraceWriter:
         return values + [self._intern(comm), self._intern(exe)]
 
     # ------------------------------------------------------------------
-    def write_record(self, record: Dict[str, Any]) -> None:
-        """Append one raw body record (event or marker)."""
+    def write_record(self, record: Any) -> None:
+        """Append one raw body record (event, marker or any JSON value;
+        what fits no fixed layout takes the JSON escape, verbatim)."""
         if self._closed:
             raise TraceFormatError("writer already closed")
-        if record.get("kind", KIND_EVENT) == KIND_EVENT and "type" in record:
-            key = str(record.get("type"))
-            self.event_counts[key] = self.event_counts.get(key, 0) + 1
-        self._offsets.append(self._pos)
         packed = None
-        if record.get("kind") == KIND_EVENT:
-            packed = self._pack_fixed(record)
+        if isinstance(record, dict):
+            if record.get("kind", KIND_EVENT) == KIND_EVENT and "type" in record:
+                key = str(record.get("type"))
+                self.event_counts[key] = self.event_counts.get(key, 0) + 1
+            if record.get("kind") == KIND_EVENT:
+                packed = self._pack_fixed(record)
+        self._offsets.append(self._pos)
         if packed is None:
             encoded = _encode(record).encode("utf-8")
             packed = bytes((_TAG_ESCAPE,)) + _LEN32.pack(len(encoded)) + encoded
@@ -447,13 +453,6 @@ def _layout(tag: int) -> Optional[_Layout]:
     return layout
 
 
-class BadReferenceError(TraceFormatError):
-    """A record whose framing is intact but whose string or blob
-    reference does not resolve.  Unlike a cut in the stream, nothing is
-    lost after it: replay counts the record as rejected, and a consumer
-    of the record dicts stops at it."""
-
-
 #: What a reference that does not resolve raises while a record is
 #: decoded: an index past a table, a non-JSON or non-object string, a
 #: ragged blob, or the payload decoder's own check (an unknown exit
@@ -464,12 +463,12 @@ _BAD_REFERENCE = (IndexError, ValueError, struct.error, TraceFormatError)
 # ======================================================================
 # Reader
 # ======================================================================
-class BinaryTraceReader:
+class BinaryTraceReader(TraceFramer):
     """mmap-backed btrace reader: drop-in peer of :class:`TraceReader`.
 
-    Iterating yields raw record dicts in file order (identical to what
-    :class:`TraceReader` parses from the JSONL form of the same trace);
-    :meth:`iter_decoded` is the eager replay decoder both are built on.
+    Iterating yields the body items replay feeds, decoded eagerly (see
+    :meth:`__iter__`); ``Trace.records`` rebuilds from them exactly the
+    dicts :class:`TraceReader` parses from the JSONL form of the trace.
 
     A file without a valid trailer (truncated mid-write) raises
     :class:`TraceFormatError` at open — the interning tables live at
@@ -500,7 +499,6 @@ class BinaryTraceReader:
             buf = data
         self._buf = buf
         self.footer: Optional[Dict[str, Any]] = None
-        self.malformed_lines = 0
         self.records_read = 0
         # Decode caches, keyed by packed bytes (see _decode_at); a
         # payload maps to the checked fields of its first event.
@@ -635,9 +633,9 @@ class BinaryTraceReader:
             records_read=self.records_read,
         )
 
-    def _bad_reference(self, layout: _Layout, pos: int, exc: Exception) -> BadReferenceError:
+    def _bad_reference(self, layout: _Layout, pos: int, exc: Exception) -> TraceFormatError:
         records_read = bisect_left(self.index, pos)
-        return BadReferenceError(
+        return TraceFormatError(
             f"{self.path}: corrupt btrace stream after record "
             f"{records_read}: bad {layout.value} record: {exc}",
             records_read=records_read,
@@ -742,12 +740,13 @@ class BinaryTraceReader:
         except _BAD_REFERENCE as exc:
             return self._bad_reference(layout, pos, exc)
 
-    def iter_decoded(self):
-        """The replay decoder, eager: what :class:`ReplaySource` feeds.
+    def __iter__(self) -> Iterator[Any]:
+        """The body items, decoded eagerly: what :class:`ReplaySource`
+        feeds.
 
         A fixed-layout record becomes ``(t_ns, event, task, parent)``
         (see :meth:`_decode_at`).  A JSON escape yields its payload
-        verbatim (a record dict, for replay to decode).  A record whose
+        verbatim (any JSON value, for replay to judge).  A record whose
         references do not resolve yields a :class:`TraceFormatError`
         carrying its position, which replay counts as a ``decode``
         rejection.  Framing damage (unknown tag, overrun, early end, bad
@@ -779,37 +778,6 @@ class BinaryTraceReader:
         if remaining > 0:
             raise self._corrupt("record region ended early")
 
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        """Raw record dicts in file order — :class:`TraceReader` parity —
-        rebuilt from what :meth:`iter_decoded` yields.
-
-        A record whose references do not resolve has no dict: it raises
-        with its position as ``records_read``.
-        """
-        for item in self.iter_decoded():
-            if type(item) is tuple:
-                item = event_to_record(*item[1:])
-            elif isinstance(item, TraceFormatError):
-                raise item
-            yield item
-
-    def read_trace(self) -> Trace:
-        """The whole trace (peer of :meth:`TraceReader.read_trace`);
-        closes the reader.  The body is decoded once, eagerly, into the
-        items replay feeds; record dicts are built from the same bytes
-        only if ``Trace.records`` is read."""
-        path = self.path
-        data = self._buf if self._mm is None else None  # mapped: reopen
-        try:
-            body = list(self.iter_decoded())
-        finally:
-            self.close()
-        return Trace(
-            header=self.header,
-            body=body,
-            load_records=lambda: list(BinaryTraceReader(path, data=data)),
-        )
-
     def close(self) -> None:
         if self._mm is not None:
             self._mm.close()
@@ -817,12 +785,6 @@ class BinaryTraceReader:
         if self._file is not None:
             self._file.close()
             self._file = None
-
-    def __enter__(self) -> "BinaryTraceReader":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 # ======================================================================
@@ -839,15 +801,6 @@ def save_btrace(path: str, trace: Trace) -> None:
     for record in trace.records:
         writer.write_record(record)
     writer.close()
-
-
-def load_btrace(path: Optional[str] = None, data: Optional[bytes] = None) -> Trace:
-    """Read a whole btrace, from ``path`` or the image ``data``, into
-    the standard in-memory :class:`Trace` (see
-    :meth:`BinaryTraceReader.read_trace`)."""
-    if data is None:
-        data = read_input(path)
-    return BinaryTraceReader(path, data=data).read_trace()
 
 
 def open_trace(
@@ -868,14 +821,23 @@ def open_trace(
     return TraceReader(name, data=data)
 
 
-def load_any_trace(path: str) -> Trace:
-    """Load a trace whatever its container format (see :func:`open_trace`).
+def load_any_trace(
+    path: str,
+    data: Optional[bytes] = None,
+    on_cut: Optional[Callable[[Trace], None]] = None,
+) -> Trace:
+    """The one whole-trace loader, whatever the container format (see
+    :func:`open_trace`; ``data``, when given, is the trace's bytes).
 
-    This is how every consumer — ``replay``/``fuzz`` CLIs, the fuzz and
-    campaign loops, ``repro.serve`` stream sources, ``repro.obs`` —
-    accepts both formats transparently.
+    Every consumer — ``replay``/``fuzz`` CLIs, the fuzz and campaign
+    loops, ``repro.serve`` stream sources, ``repro.obs`` — loads
+    through here.  The trace's body holds every item its reader framed,
+    judged by none: replay alone rejects records, so each entry point
+    counts the same bytes the same way.  A stream cut mid-body raises,
+    unless ``on_cut`` salvages the prefix (see
+    :meth:`~repro.replay.trace_io.TraceFramer.read_trace`).
     """
-    return open_trace(path).read_trace()
+    return open_trace(path, data).read_trace(on_cut)
 
 
 def convert_trace(src: str, dst: str, to: Optional[str] = None) -> Dict[str, Any]:
@@ -906,8 +868,8 @@ def convert_trace(src: str, dst: str, to: Optional[str] = None) -> Dict[str, Any
 
 def _to_btrace(reader: TraceReader, dst: str) -> Dict[str, Any]:
     writer = BinaryTraceWriter(dst, reader.header, header_line=reader.header_line)
-    for record in reader:
-        writer.write_record(record)
+    for item in reader:
+        writer.write_record(record_of(item))
     writer.footer_record = reader.footer
     writer.close(end_ns=reader.header.end_ns)
     return {
@@ -923,8 +885,8 @@ def _to_jsonl(reader: BinaryTraceReader, dst: str) -> Dict[str, Any]:
     with _create(dst) as fh:
         fh.write(reader.header_line + "\n")
         batch: List[str] = []
-        for record in reader:
-            batch.append(_encode(record) + "\n")
+        for item in reader:
+            batch.append(_encode(record_of(item)) + "\n")
             records += 1
             if len(batch) >= 256:
                 fh.write("".join(batch))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import GuestEvent
@@ -202,27 +202,6 @@ def event_to_record(
     return record
 
 
-def decode_event(
-    record: Dict[str, Any],
-) -> Tuple[GuestEvent, Optional[DerivedTaskInfo], Optional[DerivedTaskInfo]]:
-    """Decode an event record back to (event, task, parent).
-
-    Raises :class:`TraceFormatError` on any malformed field.
-    """
-    if not isinstance(record, dict):
-        raise TraceFormatError(f"event record must be a dict: {record!r}")
-    if record.get("kind", KIND_EVENT) != KIND_EVENT:
-        raise TraceFormatError(f"not an event record: kind={record.get('kind')!r}")
-    event = GuestEvent.from_record(record)
-    task = record.get("task")
-    parent = record.get("parent")
-    return (
-        event,
-        task_from_record(task) if task is not None else None,
-        task_from_record(parent) if parent is not None else None,
-    )
-
-
 def scan_marker(
     t_ns: int,
     auditor: str,
@@ -267,58 +246,62 @@ def decode_scan(record: Dict[str, Any]) -> Dict[str, Any]:
 # Whole traces
 # ======================================================================
 class Trace:
-    """An in-memory trace: header + raw body records (no header line).
+    """An in-memory trace: header + body items (no header line).
 
-    A binary load also hands over ``body``, already decoded into the
-    items replay feeds (see ``BinaryTraceReader.iter_decoded``), and
-    ``load_records``, which builds the record dicts from the same
-    container the first time :attr:`records` is read.  That read drops
-    the decoded body, so edits to ``records`` are what replay sees.
+    The body is what the trace readers frame, in order, and what replay
+    judges: a record dict, any other JSON value, a ``(t_ns, event,
+    task, parent)`` tuple (a btrace fixed-layout record, decoded), or
+    the :class:`TraceFormatError` a reader left in place of a record it
+    could not parse or resolve.  An in-memory trace passes ``records``
+    as its body.
+
+    :attr:`records` derives the record dicts from the body (see
+    :func:`record_of`) the first time it is read, and the body then
+    becomes those records, so edits to ``records`` are what replay sees.
     """
 
     def __init__(
         self,
         header: TraceHeader,
-        records: Optional[List[Dict[str, Any]]] = None,
+        records: Optional[List[Any]] = None,
         body: Optional[List[Any]] = None,
-        load_records: Optional[Callable[[], List[Dict[str, Any]]]] = None,
     ) -> None:
         self.header = header
-        self._records = [] if records is None and load_records is None else records
-        self._body = body
-        self._load_records = load_records
+        self._records = records
+        self.body: List[Any] = (
+            body if body is not None else [] if records is None else records
+        )
 
     @property
-    def records(self) -> List[Dict[str, Any]]:
+    def records(self) -> List[Any]:
         if self._records is None:
-            self._records = self._load_records()
-            self._load_records = None
-        self._body = None
+            self._records = self.body = [record_of(item) for item in self.body]
         return self._records
-
-    @property
-    def body(self) -> List[Any]:
-        """What replay feeds, in order: the decoded body when the loader
-        kept one, else the record dicts."""
-        return self.records if self._body is None else self._body
-
-    def events(self) -> List[GuestEvent]:
-        """Decode just the event records (strict: raises on malformed)."""
-        return [
-            decode_event(r)[0]
-            for r in self.records
-            if isinstance(r, dict) and r.get("kind") == KIND_EVENT
-        ]
 
     def recount(self) -> Dict[str, int]:
         """Recompute ``header.event_counts`` from the body."""
         counts: Dict[str, int] = {}
-        for record in self.records:
-            if isinstance(record, dict) and record.get("kind") == KIND_EVENT:
-                key = str(record.get("type"))
-                counts[key] = counts.get(key, 0) + 1
+        for item in self.body:
+            if type(item) is tuple:
+                key = item[1].type.value
+            elif isinstance(item, dict) and item.get("kind") == KIND_EVENT:
+                key = str(item.get("type"))
+            else:
+                continue
+            counts[key] = counts.get(key, 0) + 1
         self.header.event_counts = counts
         return counts
+
+
+def record_of(item: Any) -> Any:
+    """The record a body item stands for: a decoded tuple becomes its
+    event record, a JSON value is its own record, and the error a
+    reader left in place of a record raises, naming its position."""
+    if type(item) is tuple:
+        return event_to_record(*item[1:])
+    if isinstance(item, TraceFormatError):
+        raise item
+    return item
 
 
 # ======================================================================

@@ -41,6 +41,7 @@ from repro.replay.format import (
     Trace,
     decode_scan,
     normalize_alerts,
+    record_of,
     task_from_record,
 )
 from repro.sim.clock import SECOND
@@ -281,8 +282,10 @@ class ReplaySource:
         A guest event becomes ``(t_ns, event, task, parent)`` and a scan
         marker ``(t_ns, scan)`` bound to its auditor.  A record that
         cannot be replayed is rejected with a pinned reason and yields
-        ``None``; so is the :class:`TraceFormatError` a binary decoder
-        leaves in place of a record it could not decode.
+        ``None``; so is the :class:`TraceFormatError` a trace reader
+        leaves in place of a line it could not parse or a record it
+        could not decode.  Readers only frame: this is the one place a
+        record is judged.
         """
         if type(record) is not dict:
             if isinstance(record, TraceFormatError):
@@ -358,7 +361,7 @@ class ReplaySource:
             self._last_due = max(self._last_due, handle.when)
             if self.delivery_log is not None:
                 self.delivery_log.append(
-                    (handle.when, handle.prio, handle.seq, record)
+                    (handle.when, handle.prio, handle.seq, record_of(record))
                 )
         return True
 
@@ -394,15 +397,10 @@ class ReplaySource:
 
     # ------------------------------------------------------------------
     def run(self) -> ReplayReport:
-        """Replay the whole trace: begin, feed every body item, end.
-
-        A delivery log keeps the records it schedules, so a collecting
-        run feeds the record dicts.
-        """
+        """Replay the whole trace: begin, feed every body item, end."""
         self.stream_begin()
-        trace = self.trace
-        for record in trace.records if self.delivery_log is not None else trace.body:
-            self._feed(record)
+        for item in self.trace.body:
+            self._feed(item)
         return self.stream_end()
 
     def stream_begin(self) -> ReplayReport:

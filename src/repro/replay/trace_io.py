@@ -10,7 +10,11 @@ Two write paths exist on purpose:
 
 :class:`TraceReader` handles both: it surfaces the header immediately
 and folds footer counts back into ``reader.header`` when iteration
-reaches the end of the stream.
+reaches the end of the stream.  Readers frame, replay judges: every
+non-blank body line is yielded as parsed (a line that is not JSON as a
+:class:`TraceFormatError` item), and only
+:class:`~repro.replay.source.ReplaySource` decides whether a record is
+accepted and how a rejection is counted.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import io
 import json
 import sys
 import zlib
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import GuestEvent
@@ -28,7 +32,6 @@ from repro.errors import TraceFormatError
 from repro.replay.format import (
     KIND_EVENT,
     KIND_FOOTER,
-    KIND_HEADER,
     Trace,
     TraceHeader,
     event_to_record,
@@ -119,11 +122,11 @@ class TraceWriter:
             self._fh.write("".join(self._buffer))
             self._buffer.clear()
 
-    def write_record(self, record: Dict[str, Any]) -> None:
-        """Append one raw body record (event or marker)."""
+    def write_record(self, record: Any) -> None:
+        """Append one raw body record (event, marker or any JSON value)."""
         if self._closed:
             raise TraceFormatError("writer already closed")
-        if record.get("kind") == KIND_EVENT:
+        if isinstance(record, dict) and record.get("kind") == KIND_EVENT:
             key = str(record.get("type"))
             self.event_counts[key] = self.event_counts.get(key, 0) + 1
         self._write_line(record)
@@ -160,16 +163,57 @@ class TraceWriter:
         self.close()
 
 
-class TraceReader:
-    """Streaming reader; yields raw body records in file order.
+class TraceFramer:
+    """What both trace readers share: iterating one yields its body
+    items in order (see :class:`~repro.replay.format.Trace`), framed
+    but not judged: replay alone decides which records it accepts.  A
+    broken *stream* raises :class:`TraceFormatError` with the number of
+    items read before the break as ``records_read``.  Each reader
+    supplies ``header``, ``__iter__`` and ``close``."""
 
-    Malformed *lines* are counted and skipped (a torn JSONL tail from a
-    crashed recorder should not kill replay), but a broken *stream* —
-    truncated gzip, corrupt deflate data, trailing garbage after the
-    compressed member — raises :class:`TraceFormatError` naming the
-    last record successfully read: the bytes after that point are
-    unrecoverable, and silently ending there would pass truncation off
-    as a complete trace.
+    header: TraceHeader
+
+    def read_trace(self, on_cut: Optional[Callable[[Trace], None]] = None) -> Trace:
+        """Every body item in memory (header counts folded in); closes
+        the reader.  A stream cut mid-body raises, unless ``on_cut`` is
+        given: the trace then holds the items before the cut and is
+        passed to ``on_cut`` before it is returned."""
+        body: List[Any] = []
+        cut = False
+        try:
+            body.extend(self)  # appends item by item: a cut keeps the prefix
+        except TraceFormatError:
+            if on_cut is None:
+                raise
+            cut = True
+        finally:
+            self.close()
+        trace = Trace(header=self.header, body=body)
+        if not trace.header.event_counts:
+            trace.recount()
+        if cut:
+            on_cut(trace)
+        return trace
+
+    def __enter__(self) -> "TraceFramer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class TraceReader(TraceFramer):
+    """Streaming JSONL reader: frames each non-blank body line.
+
+    A line is yielded as parsed: a dict, any other JSON value, or, for
+    a line that is not JSON (a torn tail from a crashed recorder), a
+    :class:`TraceFormatError` item carrying its position, which replay
+    counts as a ``decode`` rejection.  The footer is framing: its
+    counts fold into ``reader.header``.  A broken *stream* — truncated
+    gzip, corrupt deflate data, trailing garbage after the compressed
+    member — raises instead, naming the last item read: the bytes after
+    that point are unrecoverable, and silently ending there would pass
+    truncation off as a complete trace.
     """
 
     def __init__(self, path: str, data: Optional[bytes] = None) -> None:
@@ -179,8 +223,7 @@ class TraceReader:
         self.path = STDIN_NAME if path == "-" else str(path)
         self._fh = text_stream(read_input(path) if data is None else data)
         self.footer: Optional[Dict[str, Any]] = None
-        self.malformed_lines = 0
-        #: Body records yielded so far (the in-band header is not one).
+        #: Body items yielded so far (the in-band header is not one).
         self.records_read = 0
         try:
             first = self._fh.readline()
@@ -199,28 +242,27 @@ class TraceReader:
         #: conversion carries through so round trips stay byte-exact.
         self.header_line = first.rstrip("\n")
         try:
-            self.header = TraceHeader.from_record(
-                self._parse(first, strict=True)
-            )
+            self.header = TraceHeader.from_record(json.loads(first))
+        except json.JSONDecodeError as exc:
+            self._fh.close()
+            raise TraceFormatError(f"{self.path}: bad JSON line: {exc}") from exc
         except TraceFormatError:
             self._fh.close()
             raise
 
     # ------------------------------------------------------------------
-    def _parse(self, line: str, strict: bool = False) -> Dict[str, Any]:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{self.path}: bad JSON line: {exc}") from exc
-        if strict and not isinstance(record, dict):
-            raise TraceFormatError(f"{self.path}: record is not an object")
-        return record
+    def _fold_footer(self, footer: Dict[str, Any]) -> None:
+        self.footer = footer
+        counts = footer.get("event_counts")
+        if isinstance(counts, dict) and not self.header.event_counts:
+            self.header.event_counts = {str(k): int(v) for k, v in counts.items()}
+        end_ns = footer.get("end_ns")
+        if isinstance(end_ns, int) and self.header.end_ns is None:
+            self.header.end_ns = end_ns
 
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        """Yield body records; unparseable lines are counted, not raised
-        (a torn tail from a crashed recorder should not kill replay).
-        A broken stream raises :class:`TraceFormatError` instead —
-        see the class docstring for the line/stream distinction."""
+    def __iter__(self) -> Iterator[Any]:
+        """Yield every non-blank body line as parsed (see the class
+        docstring); a broken stream raises."""
         try:
             while True:
                 try:
@@ -236,49 +278,24 @@ class TraceReader:
                 if not line.strip():
                     continue
                 try:
-                    record = self._parse(line)
-                except TraceFormatError:
-                    self.malformed_lines += 1
-                    continue
-                if not isinstance(record, dict):
-                    self.malformed_lines += 1
-                    continue
-                kind = record.get("kind")
-                if kind == KIND_FOOTER:
-                    self.footer = record
-                    counts = record.get("event_counts")
-                    if isinstance(counts, dict) and not self.header.event_counts:
-                        self.header.event_counts = {
-                            str(k): int(v) for k, v in counts.items()
-                        }
-                    end_ns = record.get("end_ns")
-                    if isinstance(end_ns, int) and self.header.end_ns is None:
-                        self.header.end_ns = end_ns
-                    continue
-                if kind == KIND_HEADER:  # duplicated header: corrupt, skip
-                    self.malformed_lines += 1
-                    continue
+                    item = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    item = TraceFormatError(
+                        f"{self.path}: bad JSON line after record "
+                        f"{self.records_read}: {exc.msg} (char {exc.pos})",
+                        records_read=self.records_read,
+                    )
+                else:
+                    if isinstance(item, dict) and item.get("kind") == KIND_FOOTER:
+                        self._fold_footer(item)
+                        continue
                 self.records_read += 1
-                yield record
+                yield item
         finally:
             self._fh.close()
 
-    def read_trace(self) -> Trace:
-        """The whole trace in memory (header counts folded in)."""
-        records: List[Dict[str, Any]] = list(self)
-        trace = Trace(header=self.header, records=records)
-        if not trace.header.event_counts:
-            trace.recount()
-        return trace
-
     def close(self) -> None:
         self._fh.close()
-
-    def __enter__(self) -> "TraceReader":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 # ======================================================================
@@ -298,11 +315,6 @@ def save_trace(path: str, trace: Trace) -> None:
                 batch.clear()
         if batch:
             fh.write("".join(batch))
-
-
-def load_trace(path: str, data: Optional[bytes] = None) -> Trace:
-    """Read a whole JSONL trace into memory (header counts folded in)."""
-    return TraceReader(path, data=data).read_trace()
 
 
 def dumps_trace(trace: Trace) -> str:

@@ -45,14 +45,13 @@ from repro.replay.btrace import (
     convert_trace,
     is_btrace_bytes,
     load_any_trace,
-    load_btrace,
     open_trace,
     save_btrace,
 )
-from repro.replay.format import Trace, TraceHeader, scan_marker
+from repro.replay.format import Trace, TraceHeader, record_of, scan_marker, task_from_record
 from repro.replay.recorder import SCENARIOS, record_scenario
 from repro.replay.source import ReplaySource
-from repro.replay.trace_io import load_trace, save_trace
+from repro.replay.trace_io import save_trace
 from repro.sim.perturb import PerturbationConfig, SchedulePerturbation
 
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -88,7 +87,7 @@ class TestConversion:
         save_trace(src, exploit_run.trace)
         summary = convert_trace(src, str(tmp_path / "out.btr"))
         assert summary["format"] == "btrace"
-        assert summary["records"] == len(load_trace(src).records)
+        assert summary["records"] == len(load_any_trace(src).records)
 
     def test_load_any_trace_is_format_blind(self, tmp_path, exploit_run):
         jsonl = str(tmp_path / "t.jsonl.gz")
@@ -115,11 +114,10 @@ class TestConversion:
         with open(tmp_path / "t.jsonl", "rb") as src, open(path, "wb") as dst:
             dst.write(src.read())
         assert load_any_trace(path).records == exploit_run.trace.records
-        assert load_trace(path).records == exploit_run.trace.records
         registry = MetricsRegistry()
         assert load_trace_observed(path, registry).records == exploit_run.trace.records
         convert_trace(path, str(tmp_path / "t.btr"))
-        assert load_btrace(str(tmp_path / "t.btr")).records == exploit_run.trace.records
+        assert load_any_trace(str(tmp_path / "t.btr")).records == exploit_run.trace.records
 
     def test_is_btrace_bytes(self, tmp_path, exploit_run):
         path = str(tmp_path / "t.btr")
@@ -133,28 +131,27 @@ class TestConversion:
 
 class TestDecodeEquivalence:
     def test_decoded_items_match_dict_decode(self, tmp_path, rootkit_run):
-        from repro.replay.format import decode_event
-
         path = str(tmp_path / "t.btr")
         save_btrace(path, rootkit_run.trace)
         reader = BinaryTraceReader(path)
         try:
-            for raw, decoded in zip(rootkit_run.trace.records, reader):
-                assert decoded == raw
-            items = list(reader.iter_decoded())
+            items = list(reader)
         finally:
             reader.close()
         assert len(items) == len(rootkit_run.trace.records)
         for raw, item in zip(rootkit_run.trace.records, items):
+            assert record_of(item) == raw
             if type(item) is dict:  # a JSON escape comes back verbatim
-                assert item == raw
                 continue
             t_ns, event, task, parent = item
-            eager = decode_event(raw)
+            eager = GuestEvent.from_record(raw)
             assert t_ns == raw["t"]
-            assert type(event) is type(eager[0])
-            assert vars(event) == vars(eager[0])
-            assert (task, parent) == eager[1:]
+            assert type(event) is type(eager)
+            assert vars(event) == vars(eager)
+            assert (task, parent) == tuple(
+                task_from_record(raw[key]) if key in raw else None
+                for key in ("task", "parent")
+            )
 
     def test_events_iterator_counts_every_event(self, tmp_path, rootkit_run):
         path = str(tmp_path / "t.btr")
@@ -163,7 +160,7 @@ class TestDecodeEquivalence:
         try:
             n = sum(
                 1
-                for item in reader.iter_decoded()
+                for item in reader
                 if type(item) is tuple or item.get("kind", "event") == "event"
             )
         finally:
@@ -181,7 +178,7 @@ class TestDecodeEquivalence:
         for record in exploit_run.trace.records:
             writer.write_record(record)
         writer.close()
-        trace = load_btrace(data=buf.getvalue())
+        trace = load_any_trace("<memory>", data=buf.getvalue())
         assert trace.records == exploit_run.trace.records
 
 
@@ -250,7 +247,7 @@ class TestRepeatedPayload:
         ))
         reader = BinaryTraceReader(path)
         try:
-            items = reader.iter_decoded()
+            items = iter(reader)
             events = [next(items)[1]]
             # Mutating the first event's containers must not reach the
             # repeats decoded after it.
@@ -344,7 +341,7 @@ class TestCorruption:
         broken = BinaryTraceReader(data=bytes(data))
         try:
             with pytest.raises(TraceFormatError) as err:
-                for _ in broken.iter_decoded():
+                for _ in broken:
                     pass
             message = str(err.value)
             assert "record" in message
@@ -356,7 +353,7 @@ class TestCorruption:
         data = self._btrace_bytes(exploit_run)
         reader = BinaryTraceReader(data=bytes(data))
         try:
-            for i, _ in enumerate(reader.iter_decoded()):
+            for i, _ in enumerate(reader):
                 if i >= 9:
                     break
         finally:
@@ -473,7 +470,7 @@ class TestBinaryReplayEquivalence:
     @pytest.mark.parametrize("name", ["rootkit", "exploit", "escapes"])
     def test_btrace_replay_equals_dict_replay(self, cases, name, mode):
         path, header, records = cases[name]
-        binary = load_btrace(path)
+        binary = load_any_trace(path)
         # JSON escapes (scan markers included) stay dicts; every other
         # record arrives decoded.
         kinds = [type(item) for item in binary.body]
@@ -494,8 +491,8 @@ class TestBinaryReplayEquivalence:
         path, _header, records = cases[name]
         jsonl = str(tmp_path / "t.jsonl")
         convert_trace(path, jsonl)
-        assert load_btrace(path).records == load_trace(jsonl).records
-        assert load_btrace(path).records == records
+        assert load_any_trace(path).records == load_any_trace(jsonl).records
+        assert load_any_trace(path).records == records
 
 
 #: A small trace with one fixed-layout record per field kind.  The
@@ -535,13 +532,19 @@ _HOSTILE = [
 ]
 
 
-def _hostile_btrace(path, record, offset, target):
+def hostile_records():
+    """The header and records :func:`_hostile_btrace` writes."""
     header = TraceHeader(vm_id="vm0", end_ns=10_000, scenario="exploit")
     records = [
         {"kind": "event", "t": 1000 * (i + 1), "vcpu": 0, "vm": "vm0",
          "hw": _HW, **fields}
         for i, fields in enumerate(_FIXED)
     ]
+    return header, records
+
+
+def _hostile_btrace(path, record, offset, target):
+    header, records = hostile_records()
     buf = io.BytesIO()
     writer = BinaryTraceWriter(None, header, _fh=buf)
     for r in records:
@@ -570,7 +573,7 @@ class TestHostileReferences:
         path = str(tmp_path / "hostile.btr")
         _hostile_btrace(path, record, offset, target)
         registry = MetricsRegistry()
-        report = ReplaySource(load_btrace(path), [], metrics=registry).run()
+        report = ReplaySource(load_any_trace(path), [], metrics=registry).run()
         assert report.events_rejected == 1
         assert report.events_replayed == len(_FIXED) - 1
         rejected = [
@@ -578,11 +581,14 @@ class TestHostileReferences:
             in registry.snapshot()["counters"] if name == "flow.rejected"
         ]
         assert rejected == [({"reason": "decode", "vm": "vm0"}, 1)]
+        # obs loads the same items, so it counts the same rejection.
+        registry = MetricsRegistry()
+        ReplaySource(load_trace_observed(path, registry), [], metrics=registry).run()
+        assert registry.value("flow.rejected", vm="vm0", reason="decode") == 1
         # Consumers of the record dicts stop there, saying where.
         for consume in (
             lambda: convert_trace(path, str(tmp_path / "out.jsonl")),
-            lambda: load_trace_observed(path, MetricsRegistry()),
-            lambda: load_btrace(path).records,
+            lambda: load_any_trace(path).records,
         ):
             with pytest.raises(TraceFormatError) as err:
                 consume()
@@ -604,16 +610,15 @@ class TestHostileReferences:
         replay = cli("repro.replay", "replay", path)
         assert replay.returncode == 0, replay.stderr
         assert "(1 rejected" in replay.stdout
-        # The consumers of the record dicts exit 2 with one line.
-        for args in (
-            ("repro.obs", "report", path),
-            ("repro.replay", "convert", path, str(tmp_path / "o.jsonl")),
-        ):
-            out = cli(*args)
-            assert out.returncode == 2, out.stderr
-            assert out.stderr.startswith("error:")
-            assert "after record 2" in out.stderr
-            assert out.stderr.count("\n") == 1
+        report = cli("repro.obs", "report", path)
+        assert report.returncode == 0, report.stderr
+        assert '"labels": {"reason": "decode", "vm": "vm0"}' in report.stdout
+        # convert, a consumer of the record dicts, exits 2 with one line.
+        out = cli("repro.replay", "convert", path, str(tmp_path / "o.jsonl"))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error:")
+        assert "after record 2" in out.stderr
+        assert out.stderr.count("\n") == 1
 
 
 class TestLayoutRegistry:
@@ -657,5 +662,5 @@ class TestLayoutRegistry:
         writer.write_record(weird)
         writer.close()
         assert writer.escapes == 1
-        trace = load_btrace(data=buf.getvalue())
+        trace = load_any_trace("<memory>", data=buf.getvalue())
         assert trace.records == [weird]

@@ -24,8 +24,8 @@ import pytest
 from repro.errors import TraceFormatError
 from repro.obs.__main__ import main as obs_main
 from repro.replay.__main__ import main as replay_main
-from repro.replay.btrace import BinaryTraceWriter, load_btrace
-from repro.replay.trace_io import TraceReader, load_trace
+from repro.replay.btrace import BinaryTraceWriter, load_any_trace
+from repro.replay.trace_io import TraceReader
 from repro.serve.__main__ import main as serve_main
 from tests.conftest import COERCED_HEADER_FIELDS
 
@@ -94,6 +94,26 @@ class TestErrorContract:
         assert code == 2
         assert captured.err.startswith("error:")
 
+    def test_convert_names_a_line_that_is_not_json(
+        self, tmp_path, capsys, golden_trace_text
+    ):
+        """Such a line is a counted rejection for replay, but it has no
+        record to convert: one line, exit 2, naming its position."""
+        header_line, body = golden_trace_text.split("\n", 1)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(header_line + '\n{"kind": "event", "t": 12\n' + body,
+                        encoding="utf-8")
+        code, captured = run_cli(
+            "replay", ["convert", str(torn), str(tmp_path / "t.btr")], capsys
+        )
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "bad JSON line after record 0" in captured.err
+        assert captured.err.count("\n") == 1
+        code, captured = run_cli("replay", ["replay", str(torn)], capsys)
+        assert code == 0
+        assert "(1 rejected" in captured.out
+
 
 class TestCoercedHeader:
     """A header field of the wrong type is a format error at every
@@ -118,9 +138,9 @@ class TestCoercedHeader:
     def test_loaders_raise(self, hostile):
         jsonl, btr, message = hostile
         with pytest.raises(TraceFormatError, match=re.escape(message)):
-            load_trace(jsonl)
+            load_any_trace(jsonl)
         with pytest.raises(TraceFormatError, match=re.escape(message)):
-            load_btrace(btr)
+            load_any_trace(btr)
 
     def test_every_cli_mouth_exits_2_with_one_line(self, hostile, monkeypatch, capsys):
         jsonl, btr, message = hostile

@@ -1,14 +1,19 @@
-"""One record, four entry points, one judgement.
+"""One record, every entry point, one judgement.
 
 Every hostile or edge value a record can carry must be judged the same
 way whether the record reaches replay as an in-memory dict, a JSONL
 line, a ``.btr`` record (fixed layout or JSON escape, whichever the
-writer picks) or a ``ReplaySource.stream_feed`` call: either the same
-event (and task annotation) reaches the auditors, or the record is the
-same one ``flow.rejected{reason=decode}``.
+writer picks), a ``ReplaySource.stream_feed`` call or ``repro.obs``'s
+``collect_trace`` on the saved file: either the same event (and task
+annotation) reaches the auditors, or the record is the same one
+``flow.rejected`` row.  The trace readers only frame records, so a
+record no decoder can take (a non-object value, a second header, an
+unknown kind, a line that is not JSON, a btrace reference that does not
+resolve) is judged by replay alone, the same way at every entry point.
 
-The cases are generated from each event class's ``CODEC`` table, so a
-new event type or payload field is covered without editing this file.
+The value cases are generated from each event class's ``CODEC`` table,
+so a new event type or payload field is covered without editing this
+file.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ from repro.auditors.hrkd import HiddenRootkitDetector
 from repro.core.auditor import Auditor
 from repro.core.derive import DerivedTaskInfo
 from repro.core.events import _SNAPSHOT_FIELDS, EVENT_CLASSES, EventType, snapshot_of
+from repro.errors import TraceFormatError
 from repro.hw.exits import GuestStateSnapshot
 from repro.obs.metrics import MetricsRegistry
-from repro.replay.btrace import load_btrace, save_btrace
+from repro.obs.report import collect_trace
+from repro.replay import recorder as recorder_module
+from repro.replay.btrace import convert_trace, load_any_trace, save_btrace
 from repro.replay.format import _TASK_FIELDS, Trace, TraceHeader, scan_marker, task_of
 from repro.replay.source import ReplaySource
-from repro.replay.trace_io import load_trace, save_trace
+from repro.replay.trace_io import save_trace
+from tests.test_btrace import _HOSTILE, _hostile_btrace, hostile_records
 
 #: A well-formed value per field kind.
 GOOD = {
@@ -147,6 +156,14 @@ def _records(type_value, override):
     return records
 
 
+def _rejected(snapshot):
+    return sorted(
+        (labels["reason"], value)
+        for name, labels, value in snapshot["counters"]
+        if name == "flow.rejected"
+    )
+
+
 def _outcome(trace, stream):
     recorder = Recorder()
     registry = MetricsRegistry()
@@ -158,19 +175,39 @@ def _outcome(trace, stream):
         report = source.stream_end()
     else:
         report = source.run()
-    rejected = sorted(
-        (labels["reason"], value)
-        for name, labels, value in registry.snapshot()["counters"]
-        if name == "flow.rejected"
-    )
-    return report.events_replayed, rejected, recorder.seen
+    return report.events_replayed, _rejected(registry.snapshot()), recorder.seen
+
+
+def _obs_outcome(path, monkeypatch):
+    """``collect_trace`` on the saved file, auditing with a Recorder."""
+    recorder = Recorder()
+    monkeypatch.setattr(recorder_module, "auditors_for", lambda trace: [recorder])
+    snapshot = collect_trace(path)
+    return len(recorder.seen), _rejected(snapshot), recorder.seen
+
+
+def _judged_alike(monkeypatch, in_memory, jsonl=None, btr=None):
+    """Every entry point's outcome; all must equal the in-memory one."""
+    outcomes = {
+        "memory": _outcome(in_memory(), stream=False),
+        "stream": _outcome(in_memory(), stream=True),
+    }
+    for name, path in (("jsonl", jsonl), ("btrace", btr)):
+        if path is not None:
+            outcomes[name] = _outcome(load_any_trace(path), stream=False)
+            outcomes[f"{name}-stream"] = _outcome(load_any_trace(path), stream=True)
+            outcomes[f"{name}-obs"] = _obs_outcome(path, monkeypatch)
+    want = outcomes["memory"]
+    for name, got in outcomes.items():
+        assert got == want, name
+    return want
 
 
 @pytest.mark.parametrize(
     "type_value, override, ok", [case[1:] for case in CASES],
     ids=[case[0] for case in CASES],
 )
-def test_every_entry_point_judges_alike(tmp_path, type_value, override, ok):
+def test_every_entry_point_judges_alike(tmp_path, monkeypatch, type_value, override, ok):
     header = TraceHeader(vm_id="vm0", scenario="hostile", start_ns=0, end_ns=4000)
     records = _records(type_value, override)
 
@@ -181,22 +218,100 @@ def test_every_entry_point_judges_alike(tmp_path, type_value, override, ok):
     save_trace(jsonl, in_memory())
     btr = str(tmp_path / "t.btr")
     save_btrace(btr, in_memory())
-
-    outcomes = {
-        "memory": _outcome(in_memory(), stream=False),
-        "stream": _outcome(in_memory(), stream=True),
-        "jsonl": _outcome(load_trace(jsonl), stream=False),
-        "btrace": _outcome(load_btrace(btr), stream=False),
-        "btrace-stream": _outcome(load_btrace(btr), stream=True),
-    }
-    want = outcomes["memory"]
-    for name, got in outcomes.items():
-        assert got == want, name
-    replayed, rejected, _seen = want
+    replayed, rejected, _seen = _judged_alike(monkeypatch, in_memory, jsonl, btr)
     if ok:
         assert (replayed, rejected) == (3, [])
     else:
         assert (replayed, rejected) == (2, [("decode", 1)])
+
+
+_HEADER = TraceHeader(vm_id="vm0", scenario="hostile", start_ns=0, end_ns=4000)
+
+#: Records no decoder can take: the middle record, and the reason
+#: replay pins for it.  Each is saved to JSONL and btrace as it is.
+RECORD_CASES = [
+    ("non-object", 42, "not-a-record"),
+    ("header-kind", _HEADER.to_record(), "unknown-kind"),
+    ("unknown-kind", {"kind": "mystery", "t": 2000, "vm": "vm0"}, "unknown-kind"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, reason", [case[1:] for case in RECORD_CASES],
+    ids=[case[0] for case in RECORD_CASES],
+)
+def test_every_entry_point_judges_a_foreign_record_alike(
+    tmp_path, monkeypatch, record, reason
+):
+    records = _records("syscall", {})
+    records[1] = copy.deepcopy(record)
+
+    def in_memory():
+        return Trace(header=copy.deepcopy(_HEADER), records=copy.deepcopy(records))
+
+    jsonl = str(tmp_path / "t.jsonl")
+    save_trace(jsonl, in_memory())
+    btr = str(tmp_path / "t.btr")
+    save_btrace(btr, in_memory())
+    replayed, rejected, _seen = _judged_alike(monkeypatch, in_memory, jsonl, btr)
+    assert (replayed, rejected) == (2, [(reason, 1)])
+
+
+def test_every_entry_point_judges_a_line_that_is_not_json_alike(tmp_path, monkeypatch):
+    """A torn JSONL line is an error item in the body, the in-memory
+    form of what the reader frames, and a counted ``decode``."""
+    records = _records("syscall", {})
+    records[1] = {"kind": "placeholder"}
+    jsonl = tmp_path / "t.jsonl"
+    save_trace(str(jsonl), Trace(header=copy.deepcopy(_HEADER), records=records))
+    torn = '{"kind": "event", "t": 20'
+    jsonl.write_text(
+        jsonl.read_text(encoding="utf-8").replace('{"kind": "placeholder"}', torn),
+        encoding="utf-8",
+    )
+
+    def in_memory():
+        body = copy.deepcopy(records)
+        body[1] = TraceFormatError("torn line", records_read=1)
+        return Trace(header=copy.deepcopy(_HEADER), body=body)
+
+    replayed, rejected, _seen = _judged_alike(monkeypatch, in_memory, jsonl=str(jsonl))
+    assert (replayed, rejected) == (2, [("decode", 1)])
+    # It has no record, so conversion stops there, naming its position.
+    with pytest.raises(TraceFormatError, match="after record 1") as err:
+        convert_trace(str(jsonl), str(tmp_path / "t.btr"))
+    assert err.value.records_read == 1
+
+
+@pytest.mark.parametrize(
+    "record, offset, target", [case[1:] for case in _HOSTILE],
+    ids=[case[0] for case in _HOSTILE],
+)
+def test_every_entry_point_judges_a_bad_reference_alike(
+    tmp_path, monkeypatch, record, offset, target
+):
+    btr = str(tmp_path / "hostile.btr")
+    header, records = hostile_records()
+    _hostile_btrace(btr, record, offset, target)
+
+    def in_memory():
+        body = copy.deepcopy(records)
+        body[record] = TraceFormatError("bad reference", records_read=record)
+        return Trace(header=copy.deepcopy(header), body=body)
+
+    replayed, rejected, _seen = _judged_alike(monkeypatch, in_memory, btr=btr)
+    assert (replayed, rejected) == (len(records) - 1, [("decode", 1)])
+
+
+def test_a_saved_non_object_record_reloads_equal(tmp_path):
+    """A trace is saved losslessly whatever its records hold."""
+    records = _records("syscall", {})
+    records[1] = 42
+    trace = Trace(header=copy.deepcopy(_HEADER), records=records)
+    for name, save in (("t.jsonl", save_trace), ("t.btr", save_btrace)):
+        path = str(tmp_path / name)
+        save(path, trace)
+        assert load_any_trace(path).records == records, name
 
 
 def test_codec_lists_every_payload_field_in_dataclass_order():
@@ -283,8 +398,8 @@ def test_scan_marker_fields_are_checked_not_coerced(
     save_trace(jsonl, in_memory())
     btr = str(tmp_path / "t.btr")
     save_btrace(btr, in_memory())
-    for name, trace in (("memory", in_memory()), ("jsonl", load_trace(jsonl)),
-                        ("btrace", load_btrace(btr))):
+    for name, trace in (("memory", in_memory()), ("jsonl", load_any_trace(jsonl)),
+                        ("btrace", load_any_trace(btr))):
         spy = ScanSpy()
         registry = MetricsRegistry()
         ReplaySource(trace, [spy], metrics=registry).run()

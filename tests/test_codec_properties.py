@@ -184,7 +184,7 @@ import io as _io
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.replay.btrace import BinaryTraceReader, BinaryTraceWriter, load_btrace
+from repro.replay.btrace import BinaryTraceReader, BinaryTraceWriter, load_any_trace
 from repro.replay.format import TraceHeader
 
 
@@ -201,7 +201,7 @@ def _btrace_bytes(events):
 @settings(max_examples=60, deadline=None)
 @given(event=st.one_of(EVENT_STRATEGIES))
 def test_btrace_round_trips_every_event_class(event):
-    trace = load_btrace(data=_btrace_bytes([event]))
+    trace = load_any_trace("<memory>", data=_btrace_bytes([event]))
     assert len(trace.records) == 1
     decoded = GuestEvent.from_record(trace.records[0])
     assert type(decoded) is type(event)

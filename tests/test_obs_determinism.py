@@ -97,16 +97,21 @@ class TestJobCountInvariance:
 
 
 class TestGoldenSnapshot:
-    def test_golden_trace_reproduces_committed_obs_export(self):
+    def test_golden_trace_reproduces_committed_obs_export(self, tmp_path):
         # The CI obs-smoke step runs this same comparison from the
-        # command line; regenerate with
+        # command line, for the JSONL trace and its btrace conversion;
+        # regenerate with
         #   python -m repro.obs report tests/data/golden_exploit.jsonl
         with open(GOLDEN_OBS, "r", encoding="utf-8") as fh:
             committed = fh.read().splitlines()
         from repro.obs.report import collect_trace
+        from repro.replay.btrace import convert_trace
 
-        fresh = export_lines(collect_trace(GOLDEN_TRACE))
-        assert fresh == committed
+        btr = str(tmp_path / "golden.btr")
+        convert_trace(GOLDEN_TRACE, btr)
+        for path in (GOLDEN_TRACE, btr):
+            fresh = export_lines(collect_trace(path))
+            assert fresh == committed, path
 
 
 class TestCli:

@@ -76,9 +76,9 @@ def _flaky_once(x):
 def _replay_golden(path):
     from repro.auditors.ht_ninja import HTNinja
     from repro.replay.source import ReplaySource
-    from repro.replay.trace_io import load_trace
+    from repro.replay.btrace import load_any_trace
 
-    trace = load_trace(path)
+    trace = load_any_trace(path)
     report = ReplaySource(trace, [HTNinja()]).run()
     return (report.verdicts, report.events_replayed, report.events_rejected)
 

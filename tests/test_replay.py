@@ -33,7 +33,6 @@ from repro.replay.format import (
     FORMAT_VERSION,
     Trace,
     TraceHeader,
-    decode_event,
     event_to_record,
     normalize_alerts,
     task_from_record,
@@ -44,7 +43,7 @@ from repro.replay.btrace import convert_trace, load_any_trace
 from repro.replay.mutate import TraceMutator
 from repro.replay.recorder import SCENARIOS, auditors_for, record_scenario
 from repro.replay.source import ReplaySource
-from repro.replay.trace_io import TraceWriter, dumps_trace, load_trace, save_trace
+from repro.replay.trace_io import TraceWriter, dumps_trace, save_trace
 from repro.sim.clock import SECOND
 from repro.sim.perturb import PerturbationConfig, SchedulePerturbation
 
@@ -126,7 +125,8 @@ class TestCodecRoundTrip:
         assert task_from_record(task_to_record(info)) == info
         event = SAMPLE_EVENTS[2]
         record = event_to_record(event, task=info, parent=info)
-        decoded, task, parent = decode_event(record)
+        decoded = GuestEvent.from_record(record)
+        task, parent = (task_from_record(record[key]) for key in ("task", "parent"))
         assert (decoded, task, parent) == (event, info, info)
 
     @pytest.mark.parametrize("bad", [
@@ -174,19 +174,19 @@ class TestTraceIO:
         trace = self._small_trace()
         path = tmp_path / name
         save_trace(path, trace)
-        loaded = load_trace(path)
+        loaded = load_any_trace(path)
         assert loaded.header.vm_id == "vm0"
         assert loaded.header.seed == 3
         assert loaded.header.version == FORMAT_VERSION
         assert loaded.header.end_ns == 100
         assert loaded.records == trace.records
-        assert loaded.events() == SAMPLE_EVENTS
+        assert [GuestEvent.from_record(r) for r in loaded.records] == SAMPLE_EVENTS
 
     def test_header_counts_match_body(self, tmp_path):
         trace = self._small_trace()
         path = tmp_path / "t.jsonl"
         save_trace(path, trace)
-        loaded = load_trace(path)
+        loaded = load_any_trace(path)
         assert loaded.header.total_events == len(SAMPLE_EVENTS)
         assert loaded.header.event_counts["syscall"] == 1
 
@@ -196,8 +196,13 @@ class TestTraceIO:
         save_trace(path, trace)
         text = path.read_text().rstrip("\n") + '\n{"kind": "event", trunca\n'
         path.write_text(text)
-        loaded = load_trace(path)
-        assert loaded.records[: len(SAMPLE_EVENTS)] == trace.records
+        loaded = load_any_trace(path)
+        n = len(SAMPLE_EVENTS)
+        assert loaded.body[:n] == trace.records
+        [torn] = loaded.body[n:]
+        assert isinstance(torn, TraceFormatError) and torn.records_read == n
+        report = ReplaySource(loaded, []).run()
+        assert (report.events_replayed, report.events_rejected) == (n, 1)
 
     def test_wrong_version_rejected(self, tmp_path):
         trace = self._small_trace()
@@ -208,7 +213,7 @@ class TestTraceIO:
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(header) + "\n" + rest)
         with pytest.raises(TraceFormatError):
-            load_trace(path)
+            load_any_trace(path)
 
 
 class TestGoldenTrace:
@@ -216,7 +221,7 @@ class TestGoldenTrace:
     verdicts recorded when it was captured."""
 
     def test_golden_replay_reproduces_recorded_verdicts(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         report = ReplaySource(trace, [HTNinja()]).run()
         assert report.events_rejected == 0
         assert report.events_replayed == trace.header.total_events
@@ -226,7 +231,7 @@ class TestGoldenTrace:
         assert verdict["comm"] == "exploit"
 
     def test_golden_replay_is_deterministic(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         first = ReplaySource(trace, [HTNinja()]).run()
         second = ReplaySource(trace, [HTNinja()]).run()
         assert first.verdicts == second.verdicts
@@ -325,12 +330,12 @@ class TestSilenceGapLiveness:
         return source, report
 
     def test_intact_trace_keeps_rhc_quiet(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         _, report = self._replay(trace)
         assert not report.rhc_alarmed
 
     def test_silence_gap_trips_rhc(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         mutated = Trace(
             header=copy.deepcopy(trace.header),
             records=copy.deepcopy(trace.records),
@@ -348,7 +353,7 @@ class TestSilenceGapLiveness:
     def test_silence_gap_trip_is_deterministic(self):
         reports = []
         for _ in range(2):
-            trace = load_trace(GOLDEN_TRACE)
+            trace = load_any_trace(GOLDEN_TRACE)
             mutated = Trace(
                 header=copy.deepcopy(trace.header),
                 records=copy.deepcopy(trace.records),
@@ -371,7 +376,7 @@ class TestSilenceGapLiveness:
 
 class TestMutatorAndFuzz:
     def test_mutations_are_seed_deterministic(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         a, ops_a = TraceMutator(seed=5).mutate(trace, n_mutations=4)
         b, ops_b = TraceMutator(seed=5).mutate(trace, n_mutations=4)
         assert ops_a == ops_b
@@ -380,13 +385,13 @@ class TestMutatorAndFuzz:
         assert (ops_c, c.records) != (ops_a, a.records)
 
     def test_mutate_does_not_touch_original(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         before = copy.deepcopy(trace.records)
         TraceMutator(seed=5).mutate(trace, n_mutations=8)
         assert trace.records == before
 
     def test_fuzzed_replays_never_crash_auditors(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         mutator = TraceMutator(seed=1)
         for _ in range(12):
             mutated, _ops = mutator.mutate(trace, n_mutations=3)
@@ -395,7 +400,7 @@ class TestMutatorAndFuzz:
             assert report.scan_errors == 0
 
     def test_corrupted_records_rejected_and_counted(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         mutated = Trace(
             header=copy.deepcopy(trace.header),
             records=copy.deepcopy(trace.records),
@@ -407,7 +412,7 @@ class TestMutatorAndFuzz:
         assert report.events_replayed == trace.header.total_events - 10
 
     def test_far_future_timestamp_rejected(self):
-        trace = load_trace(GOLDEN_TRACE)
+        trace = load_any_trace(GOLDEN_TRACE)
         mutated = Trace(
             header=copy.deepcopy(trace.header),
             records=copy.deepcopy(trace.records),

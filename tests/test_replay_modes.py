@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.metrics import REJECT_REASONS, MetricsRegistry
 from repro.obs.report import export_lines
 from repro.replay.format import Trace
-from repro.replay.trace_io import load_trace
+from repro.replay.btrace import load_any_trace
 from repro.replay.recorder import SCENARIOS
 from repro.replay.source import HORIZON_SLACK_NS, ReplaySource
 from repro.sim.perturb import PerturbationConfig, SchedulePerturbation
@@ -51,7 +51,7 @@ INSERTS = {
 
 @lru_cache(maxsize=1)
 def _base() -> Trace:
-    return load_trace(str(GOLDEN))
+    return load_any_trace(str(GOLDEN))
 
 
 def _auditors():

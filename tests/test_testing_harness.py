@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.core.events import GuestEvent
 from repro.replay.format import (
     Trace,
     TraceHeader,
@@ -112,12 +113,10 @@ class TestCoverage:
         assert len(a) == 2
 
     def test_auditor_features_from_stream(self):
-        from repro.replay.format import decode_event
-
         probe = CoverageAuditor()
         for record in (switch(1 * SECOND), switch(2 * SECOND),
                        syscall(2 * SECOND, nr=0)):
-            probe.audit(decode_event(record)[0])
+            probe.audit(GuestEvent.from_record(record))
         features = probe.map.features
         assert "type:thread_switch" in features
         assert "trans:thread_switch>syscall" in features

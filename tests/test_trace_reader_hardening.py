@@ -1,11 +1,13 @@
 """TraceReader against broken streams: truncation, corruption, garbage.
 
-The contract under test: malformed JSONL *lines* are counted and
-skipped (graceful degradation for torn tails), but a broken gzip
-*stream* — truncated member, corrupt deflate bytes, trailing garbage
-after the member — raises a typed :class:`TraceFormatError` naming the
-last record read, never a raw ``EOFError``/``BadGzipFile``/
-``json.JSONDecodeError`` leaking out of the stdlib.
+The contract under test: a malformed JSONL *line* is framed, not
+judged — the reader yields it as a :class:`TraceFormatError` item and
+replay counts it as a ``decode`` rejection (graceful degradation for
+torn tails) — but a broken gzip *stream* — truncated member, corrupt
+deflate bytes, trailing garbage after the member — raises a typed
+:class:`TraceFormatError` naming the last record read, never a raw
+``EOFError``/``BadGzipFile``/``json.JSONDecodeError`` leaking out of
+the stdlib.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import json
 import pytest
 
 from repro.errors import TraceFormatError
+from repro.obs.metrics import MetricsRegistry
+from repro.replay.btrace import load_any_trace
 from repro.replay.format import Trace, TraceHeader
-from repro.replay.trace_io import TraceReader, load_trace, save_trace
+from repro.replay.source import ReplaySource
+from repro.replay.trace_io import TraceReader, save_trace
 
 
 def make_trace(n_records=20):
@@ -106,9 +111,14 @@ class TestTornLines:
             fh.write('{"kind": "event", "type": "io", "t": 12\n')  # torn
             fh.write("complete garbage\n")
         reader = TraceReader(str(path))
-        records = list(reader)
-        assert len(records) == 5
-        assert reader.malformed_lines == 2
+        items = list(reader)
+        assert len(items) == 7
+        assert all(isinstance(item, TraceFormatError) for item in items[5:])
+        assert [item.records_read for item in items[5:]] == [5, 6]
+        registry = MetricsRegistry()
+        report = ReplaySource(load_any_trace(str(path)), [], metrics=registry).run()
+        assert (report.events_replayed, report.events_rejected) == (5, 2)
+        assert registry.value("flow.rejected", vm="vm0", reason="decode") == 2
 
     def test_bad_header_json_raises_typed_error(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -120,6 +130,6 @@ class TestTornLines:
         path = tmp_path / "t.jsonl.gz"
         trace = make_trace(7)
         save_trace(str(path), trace)
-        loaded = load_trace(str(path))
+        loaded = load_any_trace(str(path))
         assert loaded.records == trace.records
         assert loaded.header.event_counts == {"io": 7}

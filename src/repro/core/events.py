@@ -411,7 +411,7 @@ class IOEvent(GuestEvent):
 
     type = EventType.IO
     # "io_kind", not "kind": trace records reserve "kind" for the
-    # record-kind envelope (header/event/scan/footer).
+    # record-kind envelope (header/event/scan).
     CODEC = (("io_kind", "kind", "str"), ("detail", "detail", "json"))
 
 

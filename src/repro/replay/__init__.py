@@ -5,10 +5,12 @@ stream.  This package makes that stream a first-class artifact:
 
 * :mod:`repro.replay.format` — versioned, schema-checked JSONL codec
   for every :class:`~repro.core.events.GuestEvent` class;
-* :mod:`repro.replay.trace_io` — streaming :class:`TraceWriter` /
-  :class:`TraceReader` with gzip support and an in-band header;
-* :mod:`repro.replay.btrace` — the binary format, and
-  :func:`load_any_trace`, the one whole-trace loader for either;
+* :mod:`repro.replay.trace_io` — JSONL with optional gzip:
+  :func:`save_trace`, the one JSONL writer, and the streaming
+  :class:`TraceReader`;
+* :mod:`repro.replay.btrace` — the binary format (``save_btrace``, its
+  one writer), and ``load_any_trace``, the one whole-trace loader for
+  either;
 * :mod:`repro.replay.recorder` — a recording auditor plus named
   scenarios that produce replayable traces from live simulations;
 * :mod:`repro.replay.source` — a :class:`ReplaySource` that re-audits
@@ -32,7 +34,7 @@ from repro.replay.recorder import (
     record_scenario,
 )
 from repro.replay.source import ReplayReport, ReplaySource
-from repro.replay.trace_io import TraceReader, TraceWriter, save_trace
+from repro.replay.trace_io import TraceReader, save_trace
 
 __all__ = [
     "FORMAT_VERSION",
@@ -45,7 +47,6 @@ __all__ = [
     "TraceHeader",
     "TraceMutator",
     "TraceReader",
-    "TraceWriter",
     "normalize_alerts",
     "record_scenario",
     "save_trace",

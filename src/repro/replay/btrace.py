@@ -8,7 +8,7 @@ per-record offset index.
 
 File layout (little-endian throughout)::
 
-    MAGIC (8)  | u32 len | header JSON line (verbatim bytes)
+    MAGIC (8)  | u32 len | header JSON line (as the JSONL header line)
     record*    |  -- see below
     strings    |  u32 count, then per entry: u32 len + utf-8 bytes
     blobs      |  u32 count, then per entry: u32 len + raw bytes
@@ -48,9 +48,12 @@ replay counts as a ``decode`` rejection.  Record dicts are built only
 for consumers that ask (``Trace.records``, ``convert``), from the
 items, by :func:`~repro.replay.format.record_of`.
 
-The header line is stored *verbatim* (and the JSONL footer, when the
-source stream had one), so ``convert`` round-trips canonically-written
-JSONL byte-for-byte in both directions.
+The header line is the only source of header fields.  The tail repeats
+the header's ``event_counts`` and ``end_ns``, and its ``footer`` key is
+reserved and always ``null``; readers check that the tail is framed
+JSON and use nothing in it.  ``convert`` is a load then a save, with
+the same writers ``record`` uses, so a canonically written trace
+round-trips byte for byte in both directions.
 
 This module is the one sanctioned home of ``struct``/``mmap``/``array``
 in the tree (see the determinism rule): binary layouts are exactly the
@@ -61,7 +64,6 @@ behind one audited boundary with the layout table checked against
 
 from __future__ import annotations
 
-import io
 import json
 import mmap
 import struct
@@ -72,16 +74,15 @@ from repro.core.derive import DerivedTaskInfo
 from repro.core.events import EVENT_CLASSES, GuestEvent, snapshot_of
 from repro.errors import TraceFormatError
 from repro.hw.exits import GuestStateSnapshot
-from repro.replay.format import (
-    _TASK_FIELDS,
-    KIND_EVENT,
-    Trace,
-    TraceHeader,
-    event_to_record,
-    record_of,
-    task_of,
+from repro.replay.format import _TASK_FIELDS, KIND_EVENT, Trace, TraceHeader, task_of
+from repro.replay.trace_io import (
+    STDIN_NAME,
+    TraceFramer,
+    TraceReader,
+    _encode,
+    read_input,
+    save_trace,
 )
-from repro.replay.trace_io import STDIN_NAME, TraceFramer, TraceReader, _create, read_input
 
 #: First bytes of every btrace file.  Distinct from gzip (``\x1f\x8b``)
 #: and from any JSON/JSONL first byte, so one 8-byte sniff classifies
@@ -92,11 +93,11 @@ MAGIC = b"HTBT\x01\r\n\x00"
 #: how truncation is detected before any record is trusted.
 TRAILER_MAGIC = b"HTBTEND\x00"
 
-#: Recommended filename extension (``convert`` infers formats from it).
+#: Recommended filename extension (``record`` picks the btrace writer by it).
 BTRACE_SUFFIX = ".btr"
 
-#: One reusable canonical encoder (same bytes as the JSONL writers).
-_encode = json.JSONEncoder(sort_keys=True).encode
+#: Packed chunks the writer buffers before one file write.
+_FLUSH_EVERY = 1024
 
 _U64_MAX = (1 << 64) - 1
 _U32_MAX = (1 << 32) - 1
@@ -159,54 +160,34 @@ def _is_u64(value: Any) -> bool:
 # Writer
 # ======================================================================
 class BinaryTraceWriter:
-    """Streaming btrace writer: drop-in peer of :class:`TraceWriter`.
+    """The btrace writer behind :func:`save_btrace`.
 
-    Same surface — ``write_record`` / ``write_event`` / ``flush`` /
-    ``close`` with running ``event_counts`` — but records become packed
-    binary and the interning tables, record index and trailer land at
-    :meth:`close`.  ``header_line``/``footer_record`` exist so
-    conversion can carry the source JSONL's exact header bytes (and
-    footer, for streamed traces) through to a byte-identical round trip.
+    Records become packed binary as they are written and reach the file
+    in batches; the interning tables, tail, record index and trailer
+    land at :meth:`close`.  ``records_written``, ``escapes`` and the
+    interned strings are what ``convert`` reports.
     """
 
-    def __init__(
-        self,
-        path: Optional[str],
-        header: TraceHeader,
-        header_line: Optional[str] = None,
-        flush_every: int = 1024,
-        _fh: Optional[io.BufferedIOBase] = None,
-    ) -> None:
-        self.path = str(path) if path is not None else "<buffer>"
+    def __init__(self, path: str, header: TraceHeader) -> None:
         self.header = header
-        self.event_counts: Dict[str, int] = {}
         self.records_written = 0
         self.escapes = 0
-        self.footer_record: Optional[Dict[str, Any]] = None
-        # A caller-provided stream (in-memory encode, socket pipe) stays
-        # the caller's to close; only paths we opened are ours.
-        self._owns_fh = _fh is None
-        self._fh = _fh if _fh is not None else open(self.path, "wb")
-        self._closed = False
+        self._fh = open(path, "wb")
         self._buffer: List[bytes] = []
-        self._flush_every = max(1, int(flush_every))
         self._offsets: List[int] = []
         self._pos = 0
         self._strings: List[str] = []
         self._string_ids: Dict[str, int] = {}
         self._blobs: List[bytes] = []
         self._blob_ids: Dict[bytes, int] = {}
-        if header_line is None:
-            header_line = _encode(header.to_record())
-        self.header_line = header_line
-        head = header_line.encode("utf-8")
+        head = _encode(header.to_record()).encode("utf-8")
         self._write(MAGIC + _LEN32.pack(len(head)) + head)
 
     # ------------------------------------------------------------------
     def _write(self, data: bytes) -> None:
         self._buffer.append(data)
         self._pos += len(data)
-        if len(self._buffer) >= self._flush_every:
+        if len(self._buffer) >= _FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:
@@ -317,15 +298,9 @@ class BinaryTraceWriter:
     def write_record(self, record: Any) -> None:
         """Append one raw body record (event, marker or any JSON value;
         what fits no fixed layout takes the JSON escape, verbatim)."""
-        if self._closed:
-            raise TraceFormatError("writer already closed")
         packed = None
-        if isinstance(record, dict):
-            if record.get("kind", KIND_EVENT) == KIND_EVENT and "type" in record:
-                key = str(record.get("type"))
-                self.event_counts[key] = self.event_counts.get(key, 0) + 1
-            if record.get("kind") == KIND_EVENT:
-                packed = self._pack_fixed(record)
+        if isinstance(record, dict) and record.get("kind") == KIND_EVENT:
+            packed = self._pack_fixed(record)
         self._offsets.append(self._pos)
         if packed is None:
             encoded = _encode(record).encode("utf-8")
@@ -334,19 +309,8 @@ class BinaryTraceWriter:
         self._write(packed)
         self.records_written += 1
 
-    def write_event(
-        self,
-        event: GuestEvent,
-        task: Optional[DerivedTaskInfo] = None,
-        parent: Optional[DerivedTaskInfo] = None,
-    ) -> None:
-        self.write_record(event_to_record(event, task=task, parent=parent))
-
-    def close(self, end_ns: Optional[int] = None) -> None:
-        if self._closed:
-            return
-        if end_ns is None:
-            end_ns = self.header.end_ns
+    def close(self) -> None:
+        """Write the tables, the tail, the index and the trailer."""
         strings_off = self._pos
         chunks = [_LEN32.pack(len(self._strings))]
         for text in self._strings:
@@ -361,9 +325,9 @@ class BinaryTraceWriter:
         tail_off = self._pos
         tail = _encode(
             {
-                "event_counts": dict(self.event_counts),
-                "end_ns": end_ns,
-                "footer": self.footer_record,
+                "event_counts": self.header.event_counts,
+                "end_ns": self.header.end_ns,
+                "footer": None,
             }
         ).encode("utf-8")
         self._write(_LEN32.pack(len(tail)) + tail)
@@ -380,18 +344,7 @@ class BinaryTraceWriter:
             )
         )
         self.flush()
-        if self._owns_fh:
-            self._fh.close()
-        self._closed = True
-        self.header.event_counts = dict(self.event_counts)
-        if end_ns is not None:
-            self.header.end_ns = end_ns
-
-    def __enter__(self) -> "BinaryTraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._fh.close()
 
 
 # ======================================================================
@@ -498,7 +451,6 @@ class BinaryTraceReader(TraceFramer):
         else:
             buf = data
         self._buf = buf
-        self.footer: Optional[Dict[str, Any]] = None
         self.records_read = 0
         # Decode caches, keyed by packed bytes (see _decode_at); a
         # payload maps to the checked fields of its first event.
@@ -527,8 +479,9 @@ class BinaryTraceReader(TraceFramer):
         if head_start + head_len > len(buf):
             raise TraceFormatError(f"{self.path}: truncated btrace header")
         try:
-            self.header_line = bytes(buf[head_start : head_start + head_len]).decode("utf-8")
-            header_record = json.loads(self.header_line)
+            header_record = json.loads(
+                bytes(buf[head_start : head_start + head_len]).decode("utf-8")
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TraceFormatError(
                 f"{self.path}: bad btrace header: {exc}"
@@ -568,26 +521,17 @@ class BinaryTraceReader(TraceFramer):
         self._index: Optional[List[int]] = None
         if index_off + 8 * count > len(buf) - _TRAILER.size:
             raise TraceFormatError(f"{self.path}: truncated btrace index")
+        # The tail only repeats header fields: its framing is checked,
+        # its content is not used (see the module docstring).
         try:
             tail_len = _LEN32.unpack_from(buf, tail_off)[0]
-            tail = json.loads(
+            json.loads(
                 bytes(buf[tail_off + 4 : tail_off + 4 + tail_len]).decode("utf-8")
             )
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TraceFormatError(
                 f"{self.path}: corrupt btrace tail section: {exc}"
             ) from exc
-        counts = tail.get("event_counts")
-        if isinstance(counts, dict) and not self.header.event_counts:
-            self.header.event_counts = {
-                str(k): int(v) for k, v in counts.items()
-            }
-        end_ns = tail.get("end_ns")
-        if isinstance(end_ns, int) and self.header.end_ns is None:
-            self.header.end_ns = end_ns
-        footer = tail.get("footer")
-        if isinstance(footer, dict):
-            self.footer = footer
 
     def _read_table(self, start: int, end: int, what: str) -> List[bytes]:
         """The length-prefixed entries of one interning table."""
@@ -794,13 +738,18 @@ def is_btrace_bytes(data: bytes) -> bool:
     return data[: len(MAGIC)] == MAGIC
 
 
-def save_btrace(path: str, trace: Trace) -> None:
-    """Write a complete in-memory trace as btrace (peer of save_trace)."""
+def save_btrace(path: str, trace: Trace) -> BinaryTraceWriter:
+    """Write a complete in-memory trace as btrace, the peer of
+    :func:`~repro.replay.trace_io.save_trace` (same header, same
+    records); returns the closed writer.  A body item with no record
+    raises before the file is opened."""
+    records = trace.records
     trace.recount()
     writer = BinaryTraceWriter(path, trace.header)
-    for record in trace.records:
+    for record in records:
         writer.write_record(record)
     writer.close()
+    return writer
 
 
 def open_trace(
@@ -841,58 +790,35 @@ def load_any_trace(
 
 
 def convert_trace(src: str, dst: str, to: Optional[str] = None) -> Dict[str, Any]:
-    """Lossless conversion between JSONL and btrace, either direction.
+    """Lossless conversion between JSONL and btrace, either direction:
+    a load, then a save with :func:`save_btrace` or
+    :func:`~repro.replay.trace_io.save_trace`.
 
     ``to`` forces the output format (``"btrace"`` / ``"jsonl"``);
     ``None`` infers it: the opposite of the (sniffed) source format.
-    Canonically-written sources round-trip byte-for-byte: the header
-    line (and streaming footer, when present) is carried verbatim.
-    Returns a small summary dict for the CLI.
+    The whole source is read first, so an item with no record raises,
+    at its position, before ``dst`` is opened.  Canonically written
+    traces round-trip byte for byte.  Returns a small summary dict for
+    the CLI.
     """
     if to not in (None, "jsonl", "btrace"):
         raise TraceFormatError(f"unknown conversion target {to!r}")
     reader = open_trace(src)
-    try:
-        if isinstance(reader, TraceReader):
-            if to == "jsonl":
-                raise TraceFormatError(
-                    f"{src}: not a btrace file (nothing to convert)"
-                )
-            return _to_btrace(reader, dst)
-        if to == "btrace":
-            raise TraceFormatError(f"{src}: already a btrace file")
-        return _to_jsonl(reader, dst)
-    finally:
+    to_btrace = isinstance(reader, TraceReader)
+    if to == ("jsonl" if to_btrace else "btrace"):
         reader.close()
-
-
-def _to_btrace(reader: TraceReader, dst: str) -> Dict[str, Any]:
-    writer = BinaryTraceWriter(dst, reader.header, header_line=reader.header_line)
-    for item in reader:
-        writer.write_record(record_of(item))
-    writer.footer_record = reader.footer
-    writer.close(end_ns=reader.header.end_ns)
+        raise TraceFormatError(
+            f"{src}: not a btrace file (nothing to convert)" if to_btrace
+            else f"{src}: already a btrace file"
+        )
+    trace = reader.read_trace()
+    if not to_btrace:
+        save_trace(dst, trace)
+        return {"records": len(trace.records), "escapes": 0, "format": "jsonl", "strings": 0}
+    writer = save_btrace(dst, trace)
     return {
         "records": writer.records_written,
         "escapes": writer.escapes,
         "format": "btrace",
         "strings": len(writer._strings),
     }
-
-
-def _to_jsonl(reader: BinaryTraceReader, dst: str) -> Dict[str, Any]:
-    records = 0
-    with _create(dst) as fh:
-        fh.write(reader.header_line + "\n")
-        batch: List[str] = []
-        for item in reader:
-            batch.append(_encode(record_of(item)) + "\n")
-            records += 1
-            if len(batch) >= 256:
-                fh.write("".join(batch))
-                batch.clear()
-        if reader.footer is not None:
-            batch.append(_encode(reader.footer) + "\n")
-        if batch:
-            fh.write("".join(batch))
-    return {"records": records, "escapes": 0, "format": "jsonl", "strings": 0}

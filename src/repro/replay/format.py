@@ -11,9 +11,11 @@ A trace is a sequence of JSON records (one per line on disk):
   the architectural deriver, so replay can serve the same derivations
   without guest memory);
 * any number of **scan** markers — points where the live harness asked
-  an auditor to cross-validate against an untrusted view (HRKD scans);
-* at most one **footer** — authoritative event counts for streams
-  whose header was written before the counts were known.
+  an auditor to cross-validate against an untrusted view (HRKD scans).
+
+The header line is the only source of header fields.  Any other body
+record (a second header, an unknown kind, a value that is not an
+object) is kept as it is and rejected by replay.
 
 Everything decoding-related raises :class:`~repro.errors.TraceFormatError`
 on malformed input; replay treats that as a graceful, counted rejection.
@@ -36,7 +38,6 @@ FORMAT_VERSION = 1
 KIND_HEADER = "header"
 KIND_EVENT = "event"
 KIND_SCAN = "scan"
-KIND_FOOTER = "footer"
 
 #: Alert-detail keys that are volatile across live/replay runs (clock
 #: phase, liveness-evicted process counts) and excluded from verdicts.

@@ -21,7 +21,8 @@ import copy
 import random
 from typing import Any, Dict, List, Tuple
 
-from repro.replay.format import KIND_EVENT, Trace
+from repro.errors import TraceFormatError
+from repro.replay.format import KIND_EVENT, Trace, record_of
 from repro.sim.clock import SECOND
 
 #: Values ``corrupt`` may write over an existing field.
@@ -120,10 +121,20 @@ class TraceMutator:
     def mutate(
         self, trace: Trace, n_mutations: int = 1
     ) -> Tuple[Trace, List[str]]:
-        """Return a mutated deep copy of ``trace`` plus an operation log."""
+        """Return a mutated deep copy of ``trace`` plus an operation log.
+
+        The copy holds the record of each body item (see
+        :func:`~repro.replay.format.record_of`); the error a reader left
+        in place of a record it could not frame is carried through as
+        it is, for replay to count, and no operator picks it.
+        """
         mutated = Trace(
             header=copy.deepcopy(trace.header),
-            records=copy.deepcopy(trace.records),
+            records=[
+                item if isinstance(item, TraceFormatError)
+                else copy.deepcopy(record_of(item))
+                for item in trace.body
+            ],
         )
         log: List[str] = []
         self._shift_ns = 0

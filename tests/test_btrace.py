@@ -4,8 +4,8 @@ The contracts under test are the ones the replay stack leans its whole
 weight on:
 
 * **lossless conversion** — JSONL -> btrace -> JSONL reproduces the
-  original gzip payload byte for byte (header line carried verbatim,
-  canonical record encoding preserved);
+  original gzip payload byte for byte (a load, then a save with the
+  same canonical header and record encoding);
 * **decode equivalence** — the eager binary decoder builds exactly
   the objects the dict codec builds, record by record, and replaying a
   btrace equals replaying its records as dicts in every replay mode;
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import gzip
-import io
 import json
 import os
 import struct
@@ -39,9 +38,9 @@ from repro.obs.report import load_trace_observed
 from repro.replay.btrace import (
     BTRACE_LAYOUTS,
     MAGIC,
+    TRAILER_MAGIC,
     TYPE_CODES,
     BinaryTraceReader,
-    BinaryTraceWriter,
     convert_trace,
     is_btrace_bytes,
     load_any_trace,
@@ -172,13 +171,10 @@ class TestDecodeEquivalence:
         )
         assert n == expected
 
-    def test_in_memory_data_reader(self, exploit_run):
-        buf = io.BytesIO()
-        writer = BinaryTraceWriter(None, exploit_run.trace.header, _fh=buf)
-        for record in exploit_run.trace.records:
-            writer.write_record(record)
-        writer.close()
-        trace = load_any_trace("<memory>", data=buf.getvalue())
+    def test_in_memory_data_reader(self, tmp_path, exploit_run):
+        path = tmp_path / "t.btr"
+        save_btrace(str(path), exploit_run.trace)
+        trace = load_any_trace("<memory>", data=path.read_bytes())
         assert trace.records == exploit_run.trace.records
 
 
@@ -232,10 +228,7 @@ class TestRepeatedPayload:
             for t in (1000, 2000, 3000)
         ]
         path = str(tmp_path / "repeat.btr")
-        writer = BinaryTraceWriter(path, TraceHeader(vm_id="vm0", end_ns=10_000))
-        for record in records:
-            writer.write_record(record)
-        writer.close()
+        writer = save_btrace(path, Trace(TraceHeader(vm_id="vm0", end_ns=10_000), records))
         assert writer.escapes == 0
         expected = [GuestEvent.from_record(record) for record in records]
         json_attrs = [attr for _, attr, kind in cls.CODEC if kind == "json"]
@@ -308,29 +301,72 @@ class TestRandomAccess:
             reader.close()
 
 
-class TestCorruption:
-    def _btrace_bytes(self, run):
-        buf = io.BytesIO()
-        writer = BinaryTraceWriter(None, run.trace.header, _fh=buf)
-        for record in run.trace.records:
-            writer.write_record(record)
-        writer.close()
-        return bytearray(buf.getvalue())
+#: The tail ``save_btrace`` writes for a trace with no events.
+_EMPTY_TAIL = b'{"end_ns": null, "event_counts": {}, "footer": null}'
 
-    def test_truncated_container_raises_at_open(self, exploit_run):
-        data = self._btrace_bytes(exploit_run)
+
+def empty_btrace(header_line: str, tail: bytes = _EMPTY_TAIL) -> bytes:
+    """A btrace image with ``header_line``, ``tail`` and an empty body:
+    no records, strings or blobs (the layout in ``repro.replay.btrace``)."""
+    head = header_line.encode("utf-8")
+    strings_off = len(MAGIC) + 4 + len(head)
+    tail_off = strings_off + 8  # past two empty tables
+    index_off = tail_off + 4 + len(tail)
+    return b"".join((
+        MAGIC, struct.pack("<I", len(head)), head,
+        struct.pack("<II", 0, 0),
+        struct.pack("<I", len(tail)), tail,
+        struct.pack("<QQQQQ8s", 0, strings_off, strings_off + 4, tail_off,
+                    index_off, TRAILER_MAGIC),
+    ))
+
+
+class TestTail:
+    """The header line is the only source of header fields: the tail's
+    framing is checked, and nothing in it is used."""
+
+    def test_empty_btrace_is_what_the_writer_writes(self, tmp_path):
+        path = tmp_path / "empty.btr"
+        save_btrace(str(path), Trace(TraceHeader(), []))
+        assert path.read_bytes() == empty_btrace(_encode(TraceHeader().to_record()))
+
+    @pytest.mark.parametrize("tail", [
+        b"[]",
+        b'{"end_ns": 5, "event_counts": {"io": "x"}, "footer": {"kind": "footer"}}',
+    ], ids=["not-an-object", "hostile-fields"])
+    def test_the_tail_is_not_read(self, tmp_path, tail):
+        path = tmp_path / "t.btr"
+        path.write_bytes(empty_btrace(_encode(TraceHeader().to_record()), tail))
+        trace = load_any_trace(str(path))
+        assert trace.header.to_record() == TraceHeader().to_record()
+        assert trace.body == []
+
+    def test_a_tail_that_is_not_json_is_corrupt(self, tmp_path):
+        path = tmp_path / "t.btr"
+        path.write_bytes(empty_btrace(_encode(TraceHeader().to_record()), b"{torn"))
+        with pytest.raises(TraceFormatError, match="corrupt btrace tail section"):
+            load_any_trace(str(path))
+
+
+class TestCorruption:
+    @pytest.fixture
+    def data(self, tmp_path, exploit_run):
+        """The exploit trace's btrace bytes, to damage."""
+        path = tmp_path / "t.btr"
+        save_btrace(str(path), exploit_run.trace)
+        return bytearray(path.read_bytes())
+
+    def test_truncated_container_raises_at_open(self, data):
         for cut in (len(data) // 2, len(data) - 7, 12, 3):
             with pytest.raises(TraceFormatError, match="trailer|short|magic"):
                 BinaryTraceReader(data=bytes(data[:cut]))
 
-    def test_wrong_magic_raises(self, exploit_run):
-        data = self._btrace_bytes(exploit_run)
+    def test_wrong_magic_raises(self, data):
         data[:4] = b"NOPE"
         with pytest.raises(TraceFormatError, match="magic"):
             BinaryTraceReader(data=bytes(data))
 
-    def test_mid_body_corruption_reports_records_read(self, exploit_run):
-        data = self._btrace_bytes(exploit_run)
+    def test_mid_body_corruption_reports_records_read(self, data):
         reader = BinaryTraceReader(data=bytes(data))
         # Clobber the tag byte of a record deep in the body with an
         # undefined type code so decode fails mid-stream.
@@ -349,8 +385,7 @@ class TestCorruption:
         finally:
             broken.close()
 
-    def test_records_read_attribute_tracks_progress(self, exploit_run):
-        data = self._btrace_bytes(exploit_run)
+    def test_records_read_attribute_tracks_progress(self, data):
         reader = BinaryTraceReader(data=bytes(data))
         try:
             for i, _ in enumerate(reader):
@@ -545,13 +580,9 @@ def hostile_records():
 
 def _hostile_btrace(path, record, offset, target):
     header, records = hostile_records()
-    buf = io.BytesIO()
-    writer = BinaryTraceWriter(None, header, _fh=buf)
-    for r in records:
-        writer.write_record(r)
-    writer.close()
-    assert writer.escapes == 0
-    data = bytearray(buf.getvalue())
+    assert save_btrace(path, Trace(header, records)).escapes == 0
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
     reader = BinaryTraceReader(data=bytes(data))
     strings = reader._strings
     at = reader.index[record]
@@ -643,24 +674,19 @@ class TestLayoutRegistry:
         assert len(set(codes)) == len(codes)
         assert 0 not in codes  # 0 is the JSON-escape tag
 
-    def test_writer_escapes_non_canonical_records(self, exploit_run):
-        header = exploit_run.trace.header
-        buf = io.BytesIO()
-        writer = BinaryTraceWriter(None, header, _fh=buf)
+    def test_writer_escapes_non_canonical_records(self, tmp_path):
+        path = str(tmp_path / "t.btr")
         weird = {
             "kind": "event",
             "type": "syscall",
             "t": 1,
             "vcpu": 0,
-            "vm": header.vm_id,
+            "vm": "vm0",
             "hw": None,
             "nr": 1,
             "args": [],
             "mechanism": "sysenter",
             "surprise": "extra-key",
         }
-        writer.write_record(weird)
-        writer.close()
-        assert writer.escapes == 1
-        trace = load_any_trace("<memory>", data=buf.getvalue())
-        assert trace.records == [weird]
+        assert save_btrace(path, Trace(TraceHeader(), [weird])).escapes == 1
+        assert load_any_trace(path).records == [weird]

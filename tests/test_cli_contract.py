@@ -24,10 +24,10 @@ import pytest
 from repro.errors import TraceFormatError
 from repro.obs.__main__ import main as obs_main
 from repro.replay.__main__ import main as replay_main
-from repro.replay.btrace import BinaryTraceWriter, load_any_trace
-from repro.replay.trace_io import TraceReader
+from repro.replay.btrace import load_any_trace
 from repro.serve.__main__ import main as serve_main
 from tests.conftest import COERCED_HEADER_FIELDS
+from tests.test_btrace import empty_btrace
 
 MAINS = {"obs": obs_main, "replay": replay_main, "serve": serve_main}
 
@@ -66,6 +66,15 @@ def golden_trace_text():
         return fh.read()
 
 
+def _torn_golden(tmp_path, golden_trace_text):
+    """The golden trace with a line that is not JSON first in its body."""
+    header_line, body = golden_trace_text.split("\n", 1)
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(header_line + '\n{"kind": "event", "t": 12\n' + body,
+                    encoding="utf-8")
+    return torn
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("which,argv", BAD_INVOCATIONS)
     def test_bad_input_is_one_line_and_exit_2(self, which, argv, capsys):
@@ -99,20 +108,57 @@ class TestErrorContract:
     ):
         """Such a line is a counted rejection for replay, but it has no
         record to convert: one line, exit 2, naming its position."""
-        header_line, body = golden_trace_text.split("\n", 1)
-        torn = tmp_path / "torn.jsonl"
-        torn.write_text(header_line + '\n{"kind": "event", "t": 12\n' + body,
-                        encoding="utf-8")
-        code, captured = run_cli(
-            "replay", ["convert", str(torn), str(tmp_path / "t.btr")], capsys
-        )
+        torn = _torn_golden(tmp_path, golden_trace_text)
+        out = tmp_path / "t.btr"
+        code, captured = run_cli("replay", ["convert", str(torn), str(out)], capsys)
         assert code == 2
         assert captured.err.startswith("error:")
         assert "bad JSON line after record 0" in captured.err
         assert captured.err.count("\n") == 1
+        # The source is read before the destination is opened: a failed
+        # convert writes nothing, and an existing file keeps its bytes.
+        assert not out.exists()
+        out.write_bytes(b"kept")
+        code, _ = run_cli("replay", ["convert", str(torn), str(out)], capsys)
+        assert code == 2
+        assert out.read_bytes() == b"kept"
         code, captured = run_cli("replay", ["replay", str(torn)], capsys)
         assert code == 0
         assert "(1 rejected" in captured.out
+
+    def test_fuzz_counts_a_line_that_is_not_json(
+        self, tmp_path, capsys, golden_trace_text
+    ):
+        """fuzz judges the line as replay does: each mutated run carries
+        it through as one counted rejection."""
+        torn = _torn_golden(tmp_path, golden_trace_text)
+        code, captured = run_cli(
+            "replay", ["fuzz", str(torn), "--n", "3", "--seed", "1"], capsys
+        )
+        assert code == 0, captured.err
+        assert "auditor crashes:      0" in captured.out
+        rejected = int(re.search(r"records rejected: +(\d+)", captured.out)[1])
+        assert rejected >= 3
+
+    def test_a_footer_line_is_one_rejection(self, tmp_path, capsys, golden_trace_text):
+        """The format has no footer: a footer-kind line is a record of
+        an unknown kind whatever it holds, and a header with empty
+        counts gets them from the body."""
+        header_line, body = golden_trace_text.split("\n", 1)
+        header = {**json.loads(header_line), "event_counts": {}}
+        footer = {"kind": "footer", "event_counts": {"io": "x"}, "end_ns": 5}
+        path = tmp_path / "footer.jsonl"
+        path.write_text(
+            json.dumps(header) + "\n" + body + json.dumps(footer) + "\n",
+            encoding="utf-8",
+        )
+        btr = str(tmp_path / "footer.btr")
+        assert run_cli("replay", ["convert", str(path), btr], capsys)[0] == 0
+        for trace in (str(path), btr):
+            code, captured = run_cli("replay", ["replay", trace], capsys)
+            assert code == 0, captured.err
+            assert "replayed 442 events (1 rejected" in captured.out
+            assert "verdicts REPRODUCED" in captured.out
 
 
 class TestCoercedHeader:
@@ -126,14 +172,10 @@ class TestCoercedHeader:
         bad_line = json.dumps({**json.loads(header_line), **override})
         jsonl = tmp_path / "t.jsonl"
         jsonl.write_text(bad_line + "\n" + body, encoding="utf-8")
-        btr = str(tmp_path / "t.btr")
-        reader = TraceReader("tests/data/golden_exploit.jsonl")
-        writer = BinaryTraceWriter(btr, reader.header, header_line=bad_line)
-        for record in reader:
-            writer.write_record(record)
-        reader.close()
-        writer.close()
-        return str(jsonl), btr, message
+        btr = tmp_path / "t.btr"
+        btr.write_bytes(empty_btrace(bad_line))
+        return str(jsonl), str(btr), message
+
 
     def test_loaders_raise(self, hostile):
         jsonl, btr, message = hostile

@@ -9,7 +9,8 @@ annotation) reaches the auditors, or the record is the same one
 ``flow.rejected`` row.  The trace readers only frame records, so a
 record no decoder can take (a non-object value, a second header, an
 unknown kind, a line that is not JSON, a btrace reference that does not
-resolve) is judged by replay alone, the same way at every entry point.
+resolve, a footer-kind record) is judged by replay alone, the same way
+at every entry point.
 
 The value cases are generated from each event class's ``CODEC`` table,
 so a new event type or payload field is covered without editing this
@@ -233,6 +234,9 @@ RECORD_CASES = [
     ("non-object", 42, "not-a-record"),
     ("header-kind", _HEADER.to_record(), "unknown-kind"),
     ("unknown-kind", {"kind": "mystery", "t": 2000, "vm": "vm0"}, "unknown-kind"),
+    # The format has no footer: this is a record of an unknown kind,
+    # whatever it holds, and the header counts never come from it.
+    ("footer", {"kind": "footer", "event_counts": {"io": "x"}, "end_ns": 5}, "unknown-kind"),
 ]
 
 

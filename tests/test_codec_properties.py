@@ -179,29 +179,31 @@ def test_events_scheduled_mid_run_keep_the_invariant(times, spawn_at):
 # ======================================================================
 # Binary trace codec (repro.replay.btrace)
 # ======================================================================
-import io as _io
-
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.replay.btrace import BinaryTraceReader, BinaryTraceWriter, load_any_trace
-from repro.replay.format import TraceHeader
+from repro.replay.btrace import BinaryTraceReader, load_any_trace, save_btrace
+from repro.replay.format import Trace, TraceHeader, event_to_record
 
 
-def _btrace_bytes(events):
+@pytest.fixture(scope="module")
+def btrace_dir(tmp_path_factory):
+    """Where each example's trace is saved (module-scoped: hypothesis
+    runs many examples per test call)."""
+    return tmp_path_factory.mktemp("btrace")
+
+
+def _btrace_bytes(directory, events):
     header = TraceHeader(vm_id="vm0", num_vcpus=2, scenario="prop")
-    buf = _io.BytesIO()
-    writer = BinaryTraceWriter(None, header, _fh=buf)
-    for event in events:
-        writer.write_event(event)
-    writer.close()
-    return buf.getvalue()
+    path = directory / "prop.btr"
+    save_btrace(str(path), Trace(header, [event_to_record(e) for e in events]))
+    return path.read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(event=st.one_of(EVENT_STRATEGIES))
-def test_btrace_round_trips_every_event_class(event):
-    trace = load_any_trace("<memory>", data=_btrace_bytes([event]))
+def test_btrace_round_trips_every_event_class(btrace_dir, event):
+    trace = load_any_trace("<memory>", data=_btrace_bytes(btrace_dir, [event]))
     assert len(trace.records) == 1
     decoded = GuestEvent.from_record(trace.records[0])
     assert type(decoded) is type(event)
@@ -215,8 +217,8 @@ def test_btrace_round_trips_every_event_class(event):
     events=st.lists(st.one_of(EVENT_STRATEGIES), min_size=1, max_size=8),
     data=st.data(),
 )
-def test_btrace_truncation_always_raises(events, data):
-    blob = _btrace_bytes(events)
+def test_btrace_truncation_always_raises(btrace_dir, events, data):
+    blob = _btrace_bytes(btrace_dir, events)
     cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
     with pytest.raises(TraceFormatError):
         BinaryTraceReader(data=blob[:cut])

@@ -43,7 +43,7 @@ from repro.replay.btrace import convert_trace, load_any_trace
 from repro.replay.mutate import TraceMutator
 from repro.replay.recorder import SCENARIOS, auditors_for, record_scenario
 from repro.replay.source import ReplaySource
-from repro.replay.trace_io import TraceWriter, dumps_trace, save_trace
+from repro.replay.trace_io import save_trace
 from repro.sim.clock import SECOND
 from repro.sim.perturb import PerturbationConfig, SchedulePerturbation
 
@@ -206,11 +206,11 @@ class TestTraceIO:
 
     def test_wrong_version_rejected(self, tmp_path):
         trace = self._small_trace()
-        serialized = dumps_trace(trace)
-        first, rest = serialized.split("\n", 1)
+        path = tmp_path / "t.jsonl"
+        save_trace(path, trace)
+        first, rest = path.read_text().split("\n", 1)
         header = json.loads(first)
         header["version"] = FORMAT_VERSION + 1
-        path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(header) + "\n" + rest)
         with pytest.raises(TraceFormatError):
             load_any_trace(path)
@@ -237,14 +237,16 @@ class TestGoldenTrace:
         assert first.verdicts == second.verdicts
         assert first.events_replayed == second.events_replayed
 
-    def test_live_recording_matches_golden(self, recorded_scenario):
+    def test_live_recording_matches_golden(self, tmp_path, recorded_scenario):
         # Pins the live engine that produced the golden, not only its
         # replay: every record line byte for byte, the header on the
         # golden's keys (it predates ``meta.perturb_seed``) with the
         # wall-clock field masked.
         with open(GOLDEN_TRACE, encoding="utf-8") as fh:
             golden = fh.read().splitlines()
-        lines = dumps_trace(recorded_scenario("exploit").trace).splitlines()
+        path = tmp_path / "exploit.jsonl"
+        save_trace(path, recorded_scenario("exploit").trace)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1:] == golden[1:]
         header, golden_header = json.loads(lines[0]), json.loads(golden[0])
         for h in (header, golden_header):
@@ -493,52 +495,3 @@ class TestNormalizeAlerts:
             {"auditor": "a", "kind": "y", "pids": [1, 3]},
             {"auditor": "b", "kind": "x", "pid": 2},
         ]
-
-
-class TestBufferedWriter:
-    """TraceWriter batches line assembly: one file write per
-    ``flush_every`` records, identical bytes at any batch size."""
-
-    class _CountingFile:
-        def __init__(self, fh):
-            self.fh = fh
-            self.writes = 0
-
-        def write(self, text):
-            self.writes += 1
-            return self.fh.write(text)
-
-        def close(self):
-            self.fh.close()
-
-    def _records(self, n):
-        return [
-            {"kind": "event", "type": "thread_switch", "t": i * 100}
-            for i in range(n)
-        ]
-
-    def test_one_write_per_batch(self, tmp_path):
-        writer = TraceWriter(
-            str(tmp_path / "t.jsonl"), TraceHeader(), flush_every=4
-        )
-        counter = self._CountingFile(writer._fh)
-        writer._fh = counter
-        for record in self._records(6):
-            writer.write_record(record)
-        # header + 6 records = 7 lines: one flush at 4, three buffered.
-        assert counter.writes == 1
-        writer.close(end_ns=600)
-        # footer fills the second batch; close drains the remainder.
-        assert counter.writes == 2
-
-    def test_bytes_identical_at_any_batch_size(self, tmp_path):
-        paths = []
-        for flush_every in (1, 3, 1024):
-            path = tmp_path / f"t{flush_every}.jsonl"
-            with TraceWriter(
-                str(path), TraceHeader(), flush_every=flush_every
-            ) as writer:
-                for record in self._records(10):
-                    writer.write_record(record)
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1] == paths[2]

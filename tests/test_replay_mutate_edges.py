@@ -4,17 +4,22 @@ Mutation operators must degrade gracefully at the boundaries replay
 actually hits: traces with no events at all, traces where the chosen
 victim is the *final* record, and silence gaps opened at the very end
 of the trace (where there is no tail left to shift except the victim
-itself).  Everything must stay deterministic under a fixed seed.
+itself).  A body item that is not a record (the error a reader left
+for a line it could not parse) rides along unmutated, for replay to
+count.  Everything must stay deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
 import copy
 
-from repro.core.events import ProcessSwitchEvent, SyscallEvent
+from repro.core.events import GuestEvent, ProcessSwitchEvent, SyscallEvent
+from repro.errors import TraceFormatError
 from repro.hw.exits import GuestStateSnapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.replay.format import KIND_EVENT, Trace, TraceHeader, event_to_record
 from repro.replay.mutate import MUTATION_OPERATORS, TraceMutator
+from repro.replay.source import ReplaySource
 from repro.sim.clock import SECOND
 
 
@@ -221,3 +226,26 @@ class TestDeterminism:
         corrupted_kind = any("field 'kind'" in entry for entry in log)
         if not corrupted_kind:
             assert all(r.get("kind") == KIND_EVENT for r in mutated.records)
+
+
+# ======================================================================
+# Body items that are not records
+# ======================================================================
+class TestBodyItems:
+    def test_error_item_rides_along_and_is_counted_every_run(self):
+        error = TraceFormatError("torn line", records_read=1)
+        decoded = (2 * SECOND, GuestEvent.from_record(syscall_record(2 * SECOND)), None, None)
+        trace = Trace(
+            header=TraceHeader(end_ns=10 * SECOND),
+            body=[switch_record(1 * SECOND), error, decoded, switch_record(3 * SECOND)],
+        )
+        mutator = TraceMutator(seed=5)
+        for _ in range(10):
+            mutated, _log = mutator.mutate(trace, n_mutations=3)
+            assert [item for item in mutated.body if item is error] == [error]
+            assert all(type(item) is not tuple for item in mutated.body)
+            registry = MetricsRegistry()
+            ReplaySource(mutated, [], metrics=registry).run()
+            assert registry.value("flow.rejected", vm="vm0", reason="decode") >= 1
+        # The base trace keeps its items.
+        assert trace.body[1] is error and trace.body[2] is decoded

@@ -15,16 +15,18 @@ attempt — and shows which monitor catches what.
 Run:  python examples/extended_monitors.py
 """
 
+from collections import Counter
+
 from repro import Testbed, TestbedConfig
 from repro.auditors import (
     KernelDataWatch,
     SyscallPolicy,
     SyscallPolicyAuditor,
     SyscallSequenceAnomalyDetector,
-    TraceRecorder,
     VigilantDetector,
 )
 from repro.guest.layouts import TASK_STRUCT
+from repro.replay.recorder import RecordingAuditor
 
 
 def main() -> None:
@@ -43,7 +45,7 @@ def main() -> None:
     anomaly = SyscallSequenceAnomalyDetector(ngram=3)
     vigilant = VigilantDetector(window_ns=500_000_000, training_windows=6)
     watch = KernelDataWatch()
-    trace = TraceRecorder(capacity=5000, resolve_tasks=True)
+    trace = RecordingAuditor()
     testbed.monitor([policy, anomaly, vigilant, watch, trace])
     watch.watch_all_tasks(testbed.kernel)
     print("attached: policy + sequence-IDS + vigilant + data-watch + tracer\n")
@@ -97,9 +99,13 @@ def main() -> None:
         print(f"  data-watch: task-list pointer rewritten by "
               f"{alert['writer_comm']!r} (pid {alert['writer_pid']})")
 
-    print(f"\ntrace recorder captured {len(trace.records)} events "
-          f"({trace.event_counts()})")
-    tail = trace.syscall_trace(pid=daemon.pid)[-3:]
+    counts = dict(Counter(record["type"] for record in trace.records))
+    print(f"\ntrace recorder captured {len(trace.records)} events ({counts})")
+    tail = [
+        record for record in trace.records
+        if record["type"] == "syscall"
+        and record.get("task", {}).get("pid") == daemon.pid
+    ][-3:]
     print("last syscalls of the compromised daemon:",
           [record["nr"] for record in tail])
     print("done: four policies, one logging phase, zero guest changes.")

@@ -12,17 +12,15 @@ Two halves share this package:
 
 from repro.analysis.findings import Finding
 from repro.analysis.runner import Report, run_analysis
-from repro.analysis.stats import cdf, mean, percentile, stdev
+from repro.analysis.stats import mean, percentile, stdev
 from repro.analysis.tables import format_table
-from repro.analysis.figures import ascii_bar_chart, ascii_cdf
+from repro.analysis.figures import ascii_cdf
 
 __all__ = [
     "mean",
     "stdev",
     "percentile",
-    "cdf",
     "format_table",
-    "ascii_bar_chart",
     "ascii_cdf",
     "Finding",
     "Report",

@@ -5,31 +5,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 
-def ascii_bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 50,
-    unit: str = "",
-    title: str = "",
-) -> str:
-    """Horizontal bar chart (one bar per label)."""
-    if len(labels) != len(values):
-        raise ValueError("labels/values length mismatch")
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    if not values:
-        return "\n".join(lines + ["(no data)"])
-    top = max(max(values), 1e-12)
-    label_width = max(len(l) for l in labels)
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(width * value / top)))
-        lines.append(
-            f"{label.ljust(label_width)} | {bar} {value:.2f}{unit}"
-        )
-    return "\n".join(lines)
-
-
 def ascii_cdf(
     series: Sequence[Tuple[str, Sequence[float]]],
     points: Sequence[float],

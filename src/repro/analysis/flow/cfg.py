@@ -68,13 +68,6 @@ class CFG:
         self.blocks[block.id] = block
         return block
 
-    def predecessors(self) -> Dict[int, List[int]]:
-        preds: Dict[int, List[int]] = {bid: [] for bid in self.blocks}
-        for block in self.blocks.values():
-            for succ in block.succs:
-                preds[succ].append(block.id)
-        return preds
-
 
 class _Builder:
     def __init__(self, func: ast.AST) -> None:

@@ -43,6 +43,7 @@ from repro.analysis.rules import Rule, register
 PINNED_LABEL_SETS: Tuple[Tuple[str, str, str, bool], ...] = (
     ("flow.dropped", "reason", "DROP_REASONS", False),
     ("flow.rejected", "reason", "REJECT_REASONS", True),
+    ("trace.spans_dropped", "reason", "TRACE_DROP_REASONS", True),
 )
 
 _METRICS_MODULE = "repro.obs.metrics"

@@ -48,7 +48,7 @@ checkouts, unit-test fixtures) the structural checks are skipped.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.repo import AnalysisContext, SourceFile, dotted_name
@@ -480,26 +480,3 @@ class EventCoverageRule(Rule):
                         f"extend {CODEC_REGISTRY} instead so record/replay "
                         "and this mapping cannot drift apart",
                     )
-
-
-def coverage_tables(ctx: AnalysisContext) -> Dict[str, Set[str]]:
-    """Debug helper: the sets the rule compares (used by tests)."""
-    events = ctx.module(EVENTS_MODULE)
-    out: Dict[str, Set[str]] = {
-        "event_types": set(),
-        "registered_types": set(),
-        "registered_classes": set(),
-    }
-    if events is None:
-        return out
-    members, _ = _enum_members(events.tree, "EventType")
-    out["event_types"] = set(members)
-    registry, _ = _find_dict_assign(events.tree, CODEC_REGISTRY)
-    if registry is not None:
-        for key, value in zip(registry.keys, registry.values):
-            member = _event_type_of_key(key)
-            if member is not None:
-                out["registered_types"].add(member)
-            if isinstance(value, ast.Name):
-                out["registered_classes"].add(value.id)
-    return out

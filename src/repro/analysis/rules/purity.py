@@ -38,7 +38,6 @@ MUTATING_CALLS: FrozenSet[str] = frozenset(
         "write_u64",
         "write_bytes",
         "map_page",
-        "unmap_page",
         "host_write_u64_gpa",
     }
 )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -38,13 +38,6 @@ def percentile(values: Sequence[float], pct: float) -> float:
     value = ordered[low] * (1 - frac) + ordered[high] * frac
     # Clamp: interpolation rounding must not escape the data range.
     return min(max(value, ordered[0]), ordered[-1])
-
-
-def cdf(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, cumulative fraction) pairs."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
 def fraction_at_or_below(values: Sequence[float], threshold: float) -> float:

@@ -126,18 +126,3 @@ class ProcSideChannel:
         floor = min(intervals)
         cleaned = [v for v in intervals if v <= 1.5 * floor]
         return IntervalEstimate(samples=cleaned[:max_samples])
-
-    def predict_next_scan_ns(self) -> Optional[int]:
-        """When will the next check run?  Last S-phase start + interval."""
-        estimate = self.estimate()
-        if estimate is None:
-            return None
-        last_sleep_start: Optional[int] = None
-        prev_state: Optional[str] = None
-        for t, state in self.observations:
-            if state == "S" and prev_state != "S":
-                last_sleep_start = t
-            prev_state = state
-        if last_sleep_start is None:
-            return None
-        return last_sleep_start + int(estimate.mean * SECOND)

@@ -25,7 +25,6 @@ from repro.auditors.syscall_policy import (
 )
 from repro.auditors.vigilant import VigilantDetector
 from repro.auditors.kernel_integrity import KernelDataWatch
-from repro.auditors.trace import TraceRecorder
 
 __all__ = [
     "GuestOSHangDetector",
@@ -40,5 +39,4 @@ __all__ = [
     "SyscallSequenceAnomalyDetector",
     "VigilantDetector",
     "KernelDataWatch",
-    "TraceRecorder",
 ]

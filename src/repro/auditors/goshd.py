@@ -96,12 +96,6 @@ class GuestOSHangDetector(Auditor):
 
     # ------------------------------------------------------------------
     @property
-    def is_partial_hang(self) -> bool:
-        """Some, but not all, vCPUs stopped scheduling."""
-        total = len(self.hypertap.machine.vcpus) if self.hypertap else 0
-        return 0 < len(self.hung_vcpus) < total
-
-    @property
     def is_full_hang(self) -> bool:
         total = len(self.hypertap.machine.vcpus) if self.hypertap else 0
         return total > 0 and len(self.hung_vcpus) == total

@@ -610,12 +610,6 @@ def _load(path: str) -> Dict[str, Any]:
         return json.load(fh)
 
 
-def latest_entry(ledger_dir: str) -> Optional[Dict[str, Any]]:
-    """The most recent ledger entry, or ``None`` on an empty ledger."""
-    entries = ledger_entries(ledger_dir)
-    return _load(entries[-1][1]) if entries else None
-
-
 def write_entry(ledger_dir: str, entry: Dict[str, Any]) -> str:
     """Append ``entry`` as the next ``BENCH_<n>.json``; returns its path."""
     os.makedirs(ledger_dir, exist_ok=True)
@@ -773,7 +767,6 @@ __all__ = [
     "collect",
     "compare_entries",
     "floor_problems",
-    "latest_entry",
     "ledger_entries",
     "measure_analysis",
     "measure_campaign",

@@ -442,12 +442,6 @@ class FineGrainedTracer(Interceptor):
             execute=False if execute else None,
         )
 
-    def unwatch_gpa(self, gpa: int) -> None:
-        from repro.hw.memory import page_base
-
-        self._watched_pages.discard(page_base(gpa))
-        self.machine.ept.set_permissions(gpa, read=True, write=True, execute=True)
-
     def on_exit(self, vcpu: VCPU, exit_event: VMExit) -> None:
         from repro.hw.memory import page_base
 

@@ -260,18 +260,6 @@ class CampaignSummary:
         return sorted(out)
 
     # -- Observability ---------------------------------------------------
-    def merged_metrics(self) -> Dict:
-        """Campaign-wide metrics snapshot, folded **in grid order**.
-
-        Because trials merge by their position in the canonical grid
-        (never completion order), the merged snapshot — and any export
-        derived from it — is byte-identical at any ``jobs`` count.
-        """
-        from repro.obs.metrics import merge_snapshots
-
-        return merge_snapshots(r.metrics for r in self.results)
-
-
 def iter_trial_grid(
     sites: Sequence[FaultSite],
     workloads: Iterable[str] = ("hanoi", "make-j1", "make-j2", "http"),

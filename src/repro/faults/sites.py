@@ -107,10 +107,3 @@ def build_site_catalog(limit: int = PAPER_SITE_COUNT) -> List[FaultSite]:
                 if len(sites) >= limit:
                     return sites
     return sites
-
-
-def sites_by_module(sites: Sequence[FaultSite]) -> dict:
-    out: dict = {}
-    for site in sites:
-        out.setdefault(site.module, []).append(site)
-    return out

@@ -441,16 +441,6 @@ class GuestKernel:
         except StopIteration as stop:
             return list(stop.value or ())
 
-    def guest_view_status(self, pid: int) -> Optional[Dict[str, Any]]:
-        """/proc/<pid>/status as the guest sees it (hijackable)."""
-        handler = self.syscall_table["proc_status"]
-        gen = handler(self, self._swappers[0], (pid,))
-        try:
-            while True:
-                next(gen)
-        except StopIteration as stop:
-            return stop.value
-
     def proc_stat(self, pid: int) -> Optional[Dict[str, Any]]:
         """/proc/<pid>/stat content (state + utime), or None.
 

@@ -35,10 +35,6 @@ class SpinLock:
         self.acquisitions = 0
         self.contentions = 0
 
-    @property
-    def held(self) -> bool:
-        return self.holder is not None
-
     def try_acquire(self, task: "Task") -> bool:
         """Atomic test-and-set; returns True on success."""
         if self.holder is None:
@@ -98,9 +94,3 @@ class LockTable:
             lock = SpinLock(name, "core")
             self._locks[name] = lock
         return lock
-
-    def all_locks(self) -> Dict[str, SpinLock]:
-        return dict(self._locks)
-
-    def leaked_locks(self) -> list:
-        return [l.name for l in self._locks.values() if l.holder is LEAKED]

@@ -155,7 +155,8 @@ class SharedHost:
     Event Multiplexer fanning events out to per-VM auditing containers,
     and one Remote Health Checker watching the whole pipeline.
 
-    All VMs share a single simulation engine (one physical timeline).
+    All VMs share a single simulation engine (one physical timeline),
+    and every guest is booted by the time the constructor returns.
     """
 
     def __init__(
@@ -194,13 +195,10 @@ class SharedHost:
                 ),
             )
             self.vms.append(VmInstance(vm_id, machine, kvm, kernel))
-
-    def boot_all(self) -> "SharedHost":
         for vm in self.vms:
             vm.kernel.boot()
         if self.rhc is not None:
             self.rhc.start()
-        return self
 
     def monitor(self, vm_index: int, auditors: List[Auditor]) -> HyperTap:
         """Attach HyperTap to one VM; its auditors get their own

@@ -77,10 +77,6 @@ class GuestStateSnapshot:
     rdi: int
     cpl: int
 
-    def gpr(self, name: str) -> int:
-        """Read a saved general-purpose register by lowercase name."""
-        return int(getattr(self, name))
-
 
 @dataclass
 class VMExit:

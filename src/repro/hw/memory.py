@@ -67,11 +67,6 @@ class PhysicalMemory:
             self._frames[pfn] = fr
         return fr
 
-    @property
-    def resident_frames(self) -> int:
-        """Number of frames actually materialized."""
-        return len(self._frames)
-
     # ------------------------------------------------------------------
     # Raw byte access (physical addresses)
     # ------------------------------------------------------------------
@@ -125,22 +120,3 @@ class PhysicalMemory:
                 _U64.pack_into(fr, off, value)
                 return
         self.write_bytes(addr, _U64.pack(value))
-
-    def read_u32(self, addr: int) -> int:
-        return struct.unpack("<I", self.read_bytes(addr, 4))[0]
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write_bytes(addr, struct.pack("<I", value & 0xFFFFFFFF))
-
-    def read_cstring(self, addr: int, max_len: int = 256) -> str:
-        """Read a NUL-terminated ASCII string."""
-        raw = self.read_bytes(addr, max_len)
-        end = raw.find(b"\x00")
-        if end < 0:
-            end = max_len
-        return raw[:end].decode("ascii", errors="replace")
-
-    def write_cstring(self, addr: int, text: str, field_len: int) -> None:
-        """Write ``text`` NUL-padded into a fixed-size field."""
-        encoded = text.encode("ascii", errors="replace")[: field_len - 1]
-        self.write_bytes(addr, encoded + b"\x00" * (field_len - len(encoded)))

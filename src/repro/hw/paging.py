@@ -33,9 +33,6 @@ class KernelPageTable:
     def map_page(self, gva: int, gpa: int) -> None:
         self._map[gva >> PAGE_SHIFT] = gpa >> PAGE_SHIFT
 
-    def unmap_page(self, gva: int) -> None:
-        self._map.pop(page_number(gva), None)
-
     def lookup(self, gva: int) -> Optional[int]:
         gpn = self._map.get(gva >> PAGE_SHIFT)
         if gpn is None:
@@ -63,9 +60,6 @@ class AddressSpace:
         if not self.live:
             raise SimulationError("mapping into a destroyed address space")
         self._user_map[page_number(gva)] = page_number(gpa)
-
-    def unmap_user_page(self, gva: int) -> None:
-        self._user_map.pop(page_number(gva), None)
 
     def translate(self, gva: int) -> Optional[int]:
         """GVA -> GPA, or ``None`` if unmapped."""

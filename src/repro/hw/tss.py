@@ -13,7 +13,6 @@ two facts modelled here:
 
 from __future__ import annotations
 
-import struct  # hypertap: allow(determinism) — packs the guest TSS memory image, not trace records
 from typing import Dict, Tuple
 
 from repro.errors import SimulationError
@@ -78,9 +77,9 @@ def decode_tss(data: bytes) -> Dict[str, int]:
 class TssView:
     """Typed accessor over a TSS stored at a guest-physical address.
 
-    Host-side components (the hypervisor and HyperTap) use this to read
-    the structure; the *guest* writes it through normal memory writes so
-    that EPT protection applies.
+    Host-side components use this to locate RSP0 and to set it without
+    consulting the EPT; the *guest* writes it through normal memory
+    writes so that EPT protection applies.
     """
 
     def __init__(self, memory: PhysicalMemory, base_gpa: int) -> None:
@@ -92,13 +91,6 @@ class TssView:
         """Guest-physical address of the RSP0 field."""
         return self.base_gpa + RSP0_OFFSET
 
-    def read_rsp0(self) -> int:
-        return self.memory.read_u64(self.rsp0_gpa)
-
     def host_write_rsp0(self, value: int) -> None:
         """Hypervisor-side write (EPT is not consulted)."""
         self.memory.write_u64(self.rsp0_gpa, value)
-
-    def read_fields(self) -> Dict[str, int]:
-        """Decode the whole in-memory TSS into its named fields."""
-        return decode_tss(self.memory.read_bytes(self.base_gpa, TSS_SIZE))

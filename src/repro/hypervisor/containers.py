@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.errors import AuditorCrash
 from repro.obs.metrics import INFRA_AUDITORS, Counter, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,8 +106,3 @@ class AuditingContainer:
             self.liveness.heartbeat(
                 getattr(event, "time_ns", 0), channel=self.vm_id
             )
-
-    def raise_if_failed(self) -> None:
-        """Test helper: surface a container crash as an exception."""
-        if self.failed:
-            raise AuditorCrash(self.failure_reason or "container failed")

@@ -1,11 +1,10 @@
-"""Event Multiplexer (EM): buffering and fan-out of logged events.
+"""Event Multiplexer (EM): fan-out of logged events.
 
 The EM is a host-side module independent of the hypervisor.  It:
 
-* keeps a bounded ring buffer of recent events per VM (diagnostics and
-  the paper's "buffers input events from the EF"),
 * hands each event to the VM's registered consumers (HyperTap unified
-  channels, which drive interception algorithms and auditors),
+  channels, which drive interception algorithms and auditors) as it
+  arrives from the EF, so it keeps no event backlog of its own,
 * samples every Nth event to the Remote Health Checker so an external
   machine can detect death of the monitoring pipeline itself.
 
@@ -19,8 +18,7 @@ inheriting the previous run's counts.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hw.cpu import VCPU
 from repro.hw.exits import ExitReason, VMExit
@@ -68,17 +66,14 @@ class EventMultiplexer:
 
     def __init__(
         self,
-        ring_capacity: int = 4096,
         rhc: Optional[RemoteHealthChecker] = None,
         rhc_sample_every: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.ring_capacity = ring_capacity
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sampler = HeartbeatSampler(
             rhc, rhc_sample_every, metrics=self.metrics
         )
-        self._rings: Dict[str, Deque[VMExit]] = {}
         self._consumers: Dict[str, List[Tuple[frozenset, Consumer]]] = {}
         #: Fan-out index: vm_id -> exit reason -> consumers wanting it,
         #: in registration order.  Precomputed at registration time so
@@ -151,7 +146,6 @@ class EventMultiplexer:
     def unregister_vm(self, vm_id: str) -> None:
         self._consumers.pop(vm_id, None)
         self._by_reason.pop(vm_id, None)
-        self._rings.pop(vm_id, None)
         # A departing VM takes its accounting with it: a later Machine
         # run re-attaching under the same vm_id starts from zero rather
         # than inheriting the previous run's counts.  Only em.* rows —
@@ -176,11 +170,6 @@ class EventMultiplexer:
         self._cell(
             self._submit_cells, "em.submitted", vm_id, exit_event.reason
         ).value += 1
-        ring = self._rings.get(vm_id)
-        if ring is None:
-            ring = deque(maxlen=self.ring_capacity)
-            self._rings[vm_id] = ring
-        ring.append(exit_event)
         self.metrics.host_hop("em", exit_event.time_ns)
 
         self._sampler.observe(exit_event.time_ns)
@@ -197,6 +186,3 @@ class EventMultiplexer:
                     vm_id,
                     exit_event.reason,
                 ).value += len(consumers)
-
-    def recent_events(self, vm_id: str) -> List[VMExit]:
-        return list(self._rings.get(vm_id, ()))

@@ -25,7 +25,6 @@ from repro.obs.report import (
     collect_trace,
     diff_rows,
     export_lines,
-    export_text,
     load_trace_observed,
     parse_export,
     rows_for_path,
@@ -45,7 +44,6 @@ __all__ = [
     "collect_trace",
     "diff_rows",
     "export_lines",
-    "export_text",
     "load_trace_observed",
     "merge_snapshots",
     "metric_scope",

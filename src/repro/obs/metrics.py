@@ -69,7 +69,7 @@ BUCKET_BOUNDS_NS: Tuple[int, ...] = (
 #: fan-out for the harness, not as monitors, and counting them would
 #: break live-vs-replay metric identity (replay has no recorder).
 INFRA_AUDITORS = frozenset(
-    {"replay-recorder", "trace-recorder", "coverage-probe"}
+    {"replay-recorder", "coverage-probe"}
 )
 
 #: The stage counter under which every event type is accounted when the

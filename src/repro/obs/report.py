@@ -73,11 +73,6 @@ def export_lines(
     return lines
 
 
-def export_text(snapshot: Dict[str, Any], scope: str = "pipeline") -> str:
-    lines = export_lines(snapshot, scope=scope)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ======================================================================
 # Collection: live run, trace replay, seed fan-out
 # ======================================================================

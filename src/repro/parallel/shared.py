@@ -47,13 +47,6 @@ def get(key: str, default: Any = None) -> Any:
     return _STATE.get(key, default)
 
 
-def forget(key: str) -> None:
-    """Drop primed state (and invalidate pooled workers)."""
-    global _GENERATION
-    if _STATE.pop(key, None) is not None:
-        _GENERATION += 1
-
-
 def keys() -> Iterable[str]:
     return tuple(_STATE)
 

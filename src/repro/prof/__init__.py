@@ -35,7 +35,6 @@ __all__ = [
     "wall_unix_time",
     "Profiler",
     "profile_scope",
-    "active_profiler",
 ]
 
 #: Monotonic wall clock for interval measurement (throughput, walls).
@@ -194,10 +193,6 @@ class Profiler:
 
 #: The installed profiler, if any; ``profile_scope`` is free when None.
 _active: Optional[Profiler] = None
-
-
-def active_profiler() -> Optional[Profiler]:
-    return _active
 
 
 @contextmanager

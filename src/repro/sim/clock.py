@@ -32,11 +32,6 @@ class VirtualClock:
         """Current simulated time in nanoseconds."""
         return self._now_ns
 
-    @property
-    def now_seconds(self) -> float:
-        """Current simulated time in seconds (for reporting only)."""
-        return self._now_ns / SECOND
-
     def advance_to(self, t_ns: int) -> None:
         """Move the clock forward to ``t_ns``.
 
@@ -51,14 +46,3 @@ class VirtualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now_ns}ns)"
-
-
-def format_ns(t_ns: int) -> str:
-    """Render a nanosecond timestamp as a human-friendly string."""
-    if t_ns >= SECOND:
-        return f"{t_ns / SECOND:.6f}s"
-    if t_ns >= MILLISECOND:
-        return f"{t_ns / MILLISECOND:.3f}ms"
-    if t_ns >= MICROSECOND:
-        return f"{t_ns / MICROSECOND:.3f}us"
-    return f"{t_ns}ns"

@@ -197,21 +197,3 @@ def interleave_perturbation(
         seed=seed,
         config=PerturbationConfig(shuffle_labels=tuple(labels)),
     )
-
-
-def live_perturbation(
-    seed: int,
-    *,
-    jitter_fraction: float = 0.2,
-    shuffle: bool = True,
-) -> SchedulePerturbation:
-    """Perturbation tuned for live simulation: jittered vCPU timeslices
-    plus same-instant shuffles; nothing is ever dropped."""
-    return SchedulePerturbation(
-        seed=seed,
-        config=PerturbationConfig(
-            shuffle_labels=None if shuffle else (),
-            jitter_fraction=jitter_fraction,
-            jitter_labels=TIMESLICE_LABELS,
-        ),
-    )

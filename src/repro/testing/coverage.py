@@ -57,10 +57,6 @@ class CoverageMap:
         self._features |= new
         return len(new)
 
-    def novelty(self, other: "CoverageMap") -> int:
-        """How many of ``other``'s features this map lacks (no merge)."""
-        return len(other._features - self._features)
-
     def __len__(self) -> int:
         return len(self._features)
 
@@ -70,9 +66,6 @@ class CoverageMap:
     @property
     def features(self) -> Set[str]:
         return set(self._features)
-
-    def sorted_features(self) -> List[str]:
-        return sorted(self._features)
 
 
 class CoverageAuditor(Auditor):

@@ -96,12 +96,6 @@ class OsInvariantView:
             "parent_gva": u64("parent"),
         }
 
-    def process_by_pid(self, pid: int) -> Optional[Dict[str, Any]]:
-        for entry in self.list_processes():
-            if entry["pid"] == pid:
-                return entry
-        return None
-
     def decode_task_at(self, task_gva: int) -> Optional[Dict[str, Any]]:
         """Decode a task_struct at a caller-supplied address (used by
         cross-view validation; address may come from HyperTap)."""

@@ -6,10 +6,12 @@ import contextlib
 import functools
 import io
 import os
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from repro.analysis.runner import run_analysis
 from repro.experiments import __main__ as experiments_cli
 from repro.experiments import run_experiment
 from repro.harness import Testbed, TestbedConfig
@@ -28,6 +30,13 @@ GOLDEN_ARGS = {
     "detectors": [],
     "threshold": [],
 }
+
+
+@pytest.fixture(scope="session")
+def repo_analysis():
+    """One whole-tree ``repro.analysis`` report over ``src/``, shared by
+    every test that only reads it (a full run takes seconds)."""
+    return run_analysis(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +71,17 @@ def recorded_scenario():
     return functools.lru_cache(maxsize=None)(
         lambda name: record_scenario(name, seed=0)
     )
+
+
+def guest_view_status(kernel, pid):
+    """/proc/<pid>/status as the guest sees it: run the (hijackable)
+    ``proc_status`` handler from the syscall table to completion."""
+    gen = kernel.syscall_table["proc_status"](kernel, kernel._swappers[0], (pid,))
+    try:
+        while True:
+            next(gen)
+    except StopIteration as stop:
+        return stop.value
 
 
 @pytest.fixture

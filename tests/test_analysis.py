@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.analysis.figures import ascii_bar_chart, ascii_cdf
+from repro.analysis.figures import ascii_cdf
 from repro.analysis.stats import (
-    cdf,
     fraction_at_or_below,
     mean,
     percentile,
@@ -41,8 +40,9 @@ class TestStats:
             percentile([], 50)
 
     def test_cdf_monotone(self):
-        points = cdf([3, 1, 2])
-        assert points == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
+        values = [3, 1, 2]
+        points = [fraction_at_or_below(values, v) for v in (1, 2, 3)]
+        assert points == [1 / 3, 2 / 3, 1.0]
 
     def test_fraction_at_or_below(self):
         values = [1, 2, 3, 4]
@@ -60,18 +60,6 @@ class TestFormatting:
         assert lines[0] == "T"
         assert "name" in lines[1]
         assert all("|" in line for line in lines[1:] if "-" not in line)
-
-    def test_bar_chart(self):
-        out = ascii_bar_chart(["a", "b"], [1.0, 2.0], unit="%")
-        assert "a" in out and "b" in out
-        assert out.count("#") > 0
-
-    def test_bar_chart_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_bar_chart(["a"], [1.0, 2.0])
-
-    def test_bar_chart_empty(self):
-        assert "(no data)" in ascii_bar_chart([], [], title="x")
 
     def test_cdf_table(self):
         out = ascii_cdf(

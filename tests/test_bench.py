@@ -9,7 +9,6 @@ from repro.bench import (
     COLUMNS,
     compare_entries,
     floor_problems,
-    latest_entry,
     ledger_entries,
     write_entry,
 )
@@ -48,11 +47,12 @@ class TestLedger:
         assert first.endswith("BENCH_0001.json")
         assert second.endswith("BENCH_0002.json")
         assert [n for n, _ in ledger_entries(ledger)] == [1, 2]
-        assert latest_entry(ledger)["jobs"] == 4
+        with open(ledger_entries(ledger)[-1][1], encoding="utf-8") as fh:
+            assert json.load(fh)["jobs"] == 4
 
     def test_empty_ledger(self, tmp_path):
         assert ledger_entries(str(tmp_path)) == []
-        assert latest_entry(str(tmp_path)) is None
+        assert ledger_entries(str(tmp_path / "missing")) == []
 
     def test_non_ledger_files_ignored(self, tmp_path):
         (tmp_path / "README.md").write_text("not an entry")

@@ -22,14 +22,6 @@ class TestSnapshots:
         with pytest.raises(dataclasses.FrozenInstanceError):
             snapshot.cr3 = 99
 
-    def test_gpr_accessor(self):
-        snapshot = GuestStateSnapshot(
-            cr3=1, tr_base=2, rsp=3, rip=4, rax=5, rbx=6, rcx=7, rdx=8,
-            rsi=9, rdi=10, cpl=3,
-        )
-        assert snapshot.gpr("rax") == 5
-        assert snapshot.gpr("rdi") == 10
-
     def test_snapshot_is_a_copy(self, testbed):
         """Guest register changes after the exit must not retro-edit
         saved state (the hardware-save property monitors rely on)."""

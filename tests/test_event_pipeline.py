@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.auditor import Auditor
 from repro.core.events import EventType
-from repro.errors import AuditorCrash, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.harness import Testbed, TestbedConfig
 from repro.hw.exits import ExitReason
 from repro.hypervisor.containers import AuditingContainer
@@ -47,13 +47,6 @@ class TestEventMultiplexer:
         assert em.interest_count("vm0", ExitReason.WRMSR) == 0
         assert em.interest_count("vm1", ExitReason.CR_ACCESS) == 0
 
-    def test_ring_buffer_bounded(self, testbed):
-        testbed.monitor([CountingAuditor()])
-        testbed.kernel.spawn_process(busy_program, "busy", uid=1000)
-        testbed.run_s(2.0)
-        ring = testbed.multiplexer.recent_events("vm0")
-        assert 0 < len(ring) <= testbed.multiplexer.ring_capacity
-
     def test_unregister_vm_stops_delivery(self, testbed):
         auditor = CountingAuditor()
         testbed.monitor([auditor])
@@ -89,8 +82,6 @@ class TestContainers:
         container = testbed.hypertap.container
         assert container.failed
         assert "auditor bug" in container.failure_reason
-        with pytest.raises(AuditorCrash):
-            container.raise_if_failed()
 
     def test_failed_container_drops_events(self):
         container = AuditingContainer("vm0")

@@ -28,9 +28,9 @@ class TestPageHelpers:
 class TestPhysicalMemory:
     def test_sparse_allocation(self):
         mem = PhysicalMemory(1024 * 1024)
-        assert mem.resident_frames == 0
+        assert len(mem._frames) == 0
         mem.write_u64(0, 5)
-        assert mem.resident_frames == 1
+        assert len(mem._frames) == 1
 
     def test_u64_roundtrip(self):
         mem = PhysicalMemory(1024 * 1024)
@@ -42,27 +42,12 @@ class TestPhysicalMemory:
         mem.write_u64(0, 0x0102030405060708)
         assert mem.read_bytes(0, 1) == b"\x08"
 
-    def test_u32_roundtrip(self):
-        mem = PhysicalMemory(1024 * 1024)
-        mem.write_u32(4, 0x12345678)
-        assert mem.read_u32(4) == 0x12345678
-
     def test_cross_page_write(self):
         mem = PhysicalMemory(1024 * 1024)
         addr = PAGE_SIZE - 4
         mem.write_u64(addr, 0xAABBCCDDEEFF0011)
         assert mem.read_u64(addr) == 0xAABBCCDDEEFF0011
-        assert mem.resident_frames == 2
-
-    def test_cstring_roundtrip(self):
-        mem = PhysicalMemory(1024 * 1024)
-        mem.write_cstring(64, "hello", 16)
-        assert mem.read_cstring(64) == "hello"
-
-    def test_cstring_truncation(self):
-        mem = PhysicalMemory(1024 * 1024)
-        mem.write_cstring(0, "a" * 100, 8)
-        assert mem.read_cstring(0) == "a" * 7
+        assert len(mem._frames) == 2
 
     def test_out_of_range_frame(self):
         mem = PhysicalMemory(PAGE_SIZE * 4)
@@ -97,7 +82,7 @@ class TestU64InPlace:
         assert mem.read_bytes(addr, 8) == value.to_bytes(8, "little")
         # A word past offset 4088 spills into the next frame.
         crosses = off > PAGE_SIZE - 8
-        assert mem.resident_frames == (2 if resident or crosses else 1)
+        assert len(mem._frames) == (2 if resident or crosses else 1)
         if resident:
             assert mem.read_bytes(addr - 1, 1) == b"\xff"
             assert mem.read_bytes(addr + 8, 1) == b"\xff"
@@ -106,9 +91,9 @@ class TestU64InPlace:
         mem = PhysicalMemory(PAGE_SIZE * 4)
         mem.write_u64(0, 1)
         assert mem.read_u64(2 * PAGE_SIZE + 16) == 0
-        assert mem.resident_frames == 2
+        assert len(mem._frames) == 2
         assert mem.read_u64(2 * PAGE_SIZE + 24) == 0
-        assert mem.resident_frames == 2
+        assert len(mem._frames) == 2
 
     @pytest.mark.parametrize("addr", [
         PAGE_SIZE * 4, PAGE_SIZE * 4 + 8, PAGE_SIZE * 4 - 4, PAGE_SIZE * 9, -8,

@@ -36,12 +36,6 @@ class TestAddressSpace:
         a.map_user_page(0x400000, 0x10000)
         assert b.translate(0x400000) is None
 
-    def test_unmap_user_page(self, registry):
-        space = registry.create_address_space()
-        space.map_user_page(0x400000, 0x10000)
-        space.unmap_user_page(0x400000)
-        assert space.translate(0x400000) is None
-
     def test_mapping_into_destroyed_space_fails(self, registry):
         space = registry.create_address_space()
         registry.destroy_address_space(space)

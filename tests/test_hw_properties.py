@@ -9,8 +9,8 @@ divergences would be noise, not signal.
   arbitrary update sequences;
 * guest paging: registry walk vs. a flat dict model of the same maps;
 * VMCS: ``encode_controls``/``decode_controls`` are mutually inverse;
-* TSS: ``encode_tss``/``decode_tss`` round-trip, and the through-memory
-  view (``TssView.read_fields``) agrees with the codec;
+* TSS: ``encode_tss``/``decode_tss`` round-trip, and the RSP0 word the
+  hardware path reads (``TssView.rsp0_gpa``) is the codec's ``rsp0``;
 * MSR: read-after-write returns the last write, masked to 64 bits.
 """
 
@@ -202,8 +202,8 @@ def test_tss_view_reads_what_codec_wrote(fields):
     base = 3 * PAGE_SIZE
     memory.write_bytes(base, encode_tss(fields))
     view = TssView(memory, base)
-    assert view.read_fields() == decode_tss(encode_tss(fields))
-    assert view.read_rsp0() == fields.get("rsp0", 0)
+    assert decode_tss(memory.read_bytes(base, TSS_SIZE)) == decode_tss(encode_tss(fields))
+    assert memory.read_u64(view.rsp0_gpa) == fields.get("rsp0", 0)
 
 
 def test_tss_codec_rejects_bad_input():

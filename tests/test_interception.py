@@ -245,12 +245,3 @@ class TestFineGrainedTracer:
         vcpu = testbed.machine.vcpus[0]
         vcpu.guest_mem_write_u64(task.task_struct_gva, 0)
         assert any(e.gpa // 4096 == gpa // 4096 for e in recorder.events)
-
-    def test_unwatch_stops_events(self, testbed):
-        recorder = Recorder(EventType.MEM_ACCESS)
-        ht = testbed.monitor([recorder])
-        gpa = 0x500000
-        ht.channel.tracer.watch_gpa(gpa, write=True)
-        ht.channel.tracer.unwatch_gpa(gpa)
-        r, w, x = testbed.machine.ept.permissions(gpa)
-        assert r and w and x

@@ -34,7 +34,7 @@ def busy(ctx):
 
 @pytest.fixture
 def host():
-    return SharedHost(num_vms=2, base_config=TestbedConfig(seed=31)).boot_all()
+    return SharedHost(num_vms=2, base_config=TestbedConfig(seed=31))
 
 
 class TestSharedHost:
@@ -94,7 +94,7 @@ class TestSharedHost:
             num_vms=2,
             base_config=TestbedConfig(seed=3, rhc_timeout_s=3),
             with_rhc=True,
-        ).boot_all()
+        )
         host.monitor(0, [Counter()])
         host.monitor(1, [Counter()])
         for vm in host.vms:

@@ -13,12 +13,12 @@ from repro.faults.sites import FaultClass, build_site_catalog
 from repro.faults.injector import InjectionMode
 from repro.faults.campaign import TrialConfig
 from repro.obs.__main__ import main as obs_main
+from repro.obs.metrics import merge_snapshots
 from repro.obs.report import (
     collect_live,
     collect_replay,
     collect_seeds,
     export_lines,
-    export_text,
 )
 from repro.replay.recorder import record_scenario
 from repro.sim.clock import SECOND
@@ -38,7 +38,7 @@ class TestLiveVsReplay:
         assert live == replay
 
     def test_live_export_contains_verdict_accounting(self):
-        lines = export_text(collect_live("exploit", seed=0))
+        lines = "\n".join(export_lines(collect_live("exploit", seed=0)))
         assert '"verdicts"' in lines
         assert '"latency.exit_to_verdict_ns"' in lines
         assert '"kind": "span"' in lines
@@ -81,8 +81,12 @@ class TestJobCountInvariance:
         )
         serial = run_campaign(sites, jobs=1, **kwargs)
         fanned = run_campaign(sites, jobs=2, **kwargs)
-        a = export_lines(serial.merged_metrics().snapshot(), scope="all")
-        b = export_lines(fanned.merged_metrics().snapshot(), scope="all")
+        def merged(summary):
+            # Trials fold in grid order, never completion order.
+            return merge_snapshots(r.metrics for r in summary.results).snapshot()
+
+        a = export_lines(merged(serial), scope="all")
+        b = export_lines(merged(fanned), scope="all")
         assert a == b
         assert any('"exits"' in line for line in a)
 

@@ -148,7 +148,6 @@ class TestPipelineHops:
 class TestSilentStallDetection:
     def test_flatlined_flow_alarms_while_heartbeats_flow(self):
         host = SharedHost(num_vms=2, with_rhc=True)
-        host.boot_all()
         host.monitor(0, [Watcher()])
         host.monitor(1, [Watcher()])
         for vm in host.vms:

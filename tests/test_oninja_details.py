@@ -5,6 +5,7 @@ from repro.attacks.strategies import TransientAttack
 from repro.auditors.ninja_rules import NinjaPolicy
 from repro.auditors.o_ninja import ONinja
 from repro.sim.clock import MILLISECOND, SECOND
+from tests.conftest import guest_view_status
 
 
 class TestONinjaConfig:
@@ -43,7 +44,7 @@ class TestONinjaConfig:
     def test_ninja_runs_as_root_daemon(self, testbed):
         oninja = ONinja(testbed.kernel, interval_ns=1 * SECOND)
         oninja.install()
-        entry = testbed.kernel.guest_view_status(oninja.pid)
+        entry = guest_view_status(testbed.kernel, oninja.pid)
         assert entry["uid"] == 0
         assert entry["exe"] == "/usr/sbin/ninja"
 

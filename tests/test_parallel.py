@@ -223,17 +223,18 @@ class TestPoolAndStats:
 
 
 class TestSharedState:
+    @pytest.fixture(autouse=True)
+    def _scratch_registry(self, monkeypatch):
+        # Primed keys live in a copy of the registry that is dropped
+        # after each test, so no test leaks state into the next.
+        monkeypatch.setattr(shared, "_STATE", dict(shared._STATE))
+
     def test_prime_get_forget_round_trip(self):
         before = shared.generation()
         shared.prime("t-key", [1, 2, 3])
-        try:
-            assert shared.get("t-key") == [1, 2, 3]
-            assert "t-key" in shared.keys()
-            assert shared.generation() == before + 1
-        finally:
-            shared.forget("t-key")
-        assert shared.get("t-key", "gone") == "gone"
-        assert shared.generation() == before + 2
+        assert shared.get("t-key") == [1, 2, 3]
+        assert "t-key" in shared.keys()
+        assert shared.generation() == before + 1
 
     def test_unprimed_get_returns_default(self):
         assert shared.get("never-primed", 42) == 42
@@ -245,18 +246,12 @@ class TestSharedState:
         parallel_map(_square, list(range(4)), jobs=2)
         stale = _executor._POOL
         shared.prime("t-recycle", object())
-        try:
-            parallel_map(_square, list(range(4)), jobs=2)
-            assert _executor._POOL is not stale
-        finally:
-            shared.forget("t-recycle")
+        parallel_map(_square, list(range(4)), jobs=2)
+        assert _executor._POOL is not stale
 
     def test_workers_inherit_primed_state_through_fork(self):
         shared.prime("t-inherit", "from-parent")
-        try:
-            seen = parallel_map(_read_shared, ["t-inherit"] * 4, jobs=2)
-        finally:
-            shared.forget("t-inherit")
+        seen = parallel_map(_read_shared, ["t-inherit"] * 4, jobs=2)
         assert seen == ["from-parent"] * 4
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.prof import (
     Profiler,
-    active_profiler,
     perf_counter,
     process_time,
     profile_scope,
@@ -29,16 +28,18 @@ class TestAccessors:
 
 class TestProfileScope:
     def test_noop_when_no_profiler_installed(self):
-        assert active_profiler() is None
         with profile_scope("anything"):
             pass
-        assert active_profiler() is None
+        with Profiler() as prof:
+            pass
+        assert prof.stats == {}
 
     def test_records_under_installed_profiler(self):
         with Profiler() as prof:
             with profile_scope("stage"):
                 pass
-        assert active_profiler() is None
+        with profile_scope("after-uninstall"):
+            pass
         (path,) = prof.stats
         assert path == "stage"
         total, count = prof.stats[path]
@@ -68,11 +69,16 @@ class TestProfileScope:
     def test_install_nesting_restores_previous(self):
         outer = Profiler().install()
         inner = Profiler().install()
-        assert active_profiler() is inner
+        with profile_scope("first"):
+            pass
         inner.uninstall()
-        assert active_profiler() is outer
+        with profile_scope("second"):
+            pass
         outer.uninstall()
-        assert active_profiler() is None
+        with profile_scope("third"):
+            pass
+        assert set(inner.stats) == {"first"}
+        assert set(outer.stats) == {"second"}
 
 
 class TestReporting:

@@ -27,6 +27,7 @@ from repro.core.events import (
     TssIntegrityAlert,
 )
 from repro.errors import TraceFormatError
+from repro.guest.syscalls import SYSCALL_NUMBERS
 from repro.hw.exits import ExitAction, ExitReason, GuestStateSnapshot, MemAccess
 from repro.obs.metrics import MetricsRegistry
 from repro.replay.format import (
@@ -41,7 +42,12 @@ from repro.replay.format import (
 from repro.replay.__main__ import main as replay_main
 from repro.replay.btrace import convert_trace, load_any_trace
 from repro.replay.mutate import TraceMutator
-from repro.replay.recorder import SCENARIOS, auditors_for, record_scenario
+from repro.replay.recorder import (
+    SCENARIOS,
+    RecordingAuditor,
+    auditors_for,
+    record_scenario,
+)
 from repro.replay.source import ReplaySource
 from repro.replay.trace_io import save_trace
 from repro.sim.clock import SECOND
@@ -158,6 +164,66 @@ class TestCodecRoundTrip:
         }
         with pytest.raises(TraceFormatError, match="must be a list"):
             GuestEvent.from_record(keyed)
+
+
+def _writer(ctx):
+    while True:
+        yield ctx.compute(300_000)
+        yield ctx.sys_write(1, 8)
+
+
+class TestRecordingAuditor:
+    """The one recorder: what its ``event_types`` and ``annotate``
+    options put in the records it keeps."""
+
+    def test_records_event_mix(self, testbed):
+        recorder = RecordingAuditor()
+        testbed.monitor([recorder])
+        testbed.kernel.spawn_process(_writer, "w", uid=1000)
+        testbed.run_s(1.0)
+        types = {r["type"] for r in recorder.records}
+        assert {"syscall", "thread_switch"} <= types
+
+    def test_type_filter(self, testbed):
+        recorder = RecordingAuditor(event_types=[EventType.SYSCALL])
+        testbed.monitor([recorder])
+        testbed.kernel.spawn_process(_writer, "w", uid=1000)
+        testbed.run_s(1.0)
+        assert recorder.records
+        assert {r["type"] for r in recorder.records} == {"syscall"}
+
+    def test_syscall_records_carry_args(self, testbed):
+        recorder = RecordingAuditor(event_types=[EventType.SYSCALL])
+        testbed.monitor([recorder])
+
+        def prog(ctx):
+            yield ctx.sys_write(3, 42)
+            yield ctx.exit(0)
+
+        testbed.kernel.spawn_process(prog, "p", uid=1000)
+        testbed.run_s(0.5)
+        writes = [
+            r for r in recorder.records if r["nr"] == SYSCALL_NUMBERS["write"]
+        ]
+        assert writes
+        assert writes[0]["args"][:2] == [3, 42]
+
+    def test_syscall_records_carry_the_task(self, testbed):
+        recorder = RecordingAuditor(event_types=[EventType.SYSCALL])
+        testbed.monitor([recorder])
+        task = testbed.kernel.spawn_process(_writer, "traced", uid=1000)
+        testbed.run_s(0.5)
+        traced = [r for r in recorder.records if r["task"]["pid"] == task.pid]
+        assert traced
+        assert all(r["task"]["comm"] == "traced" for r in traced)
+
+    def test_annotate_off_records_no_task(self, testbed):
+        recorder = RecordingAuditor(annotate=False)
+        testbed.monitor([recorder])
+        testbed.kernel.spawn_process(_writer, "w", uid=1000)
+        testbed.run_s(0.5)
+        assert recorder.records
+        assert not any("task" in r or "parent" in r for r in recorder.records)
 
 
 class TestTraceIO:

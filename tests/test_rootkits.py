@@ -8,6 +8,7 @@ from repro.attacks.rootkits import (
     build_rootkit,
 )
 from repro.errors import SimulationError
+from tests.conftest import guest_view_status
 
 
 def spawn_victim(testbed, uid=0):
@@ -76,14 +77,14 @@ class TestSyscallHijack:
     def test_proc_status_censored(self, testbed):
         victim = spawn_victim(testbed)
         build_rootkit("AFX", testbed.kernel).hide_process(victim.pid)
-        assert testbed.kernel.guest_view_status(victim.pid) is None
+        assert guest_view_status(testbed.kernel, victim.pid) is None
 
     def test_other_pids_unaffected(self, testbed):
         victim = spawn_victim(testbed)
         bystander = spawn_victim(testbed, uid=1000)
         build_rootkit("AFX", testbed.kernel).hide_process(victim.pid)
         assert bystander.pid in testbed.kernel.guest_view_pids()
-        assert testbed.kernel.guest_view_status(bystander.pid) is not None
+        assert guest_view_status(testbed.kernel, bystander.pid) is not None
 
     def test_task_list_memory_untouched(self, testbed):
         """Hijacking censors the interface, not the structures."""

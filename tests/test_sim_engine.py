@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.clock import MILLISECOND, SECOND, VirtualClock, format_ns
+from repro.sim.clock import MILLISECOND, VirtualClock
 from repro.sim.engine import Engine
 
 
@@ -24,16 +24,6 @@ class TestVirtualClock:
     def test_cannot_start_negative(self):
         with pytest.raises(SimulationError):
             VirtualClock(-1)
-
-    def test_now_seconds(self):
-        clock = VirtualClock(2 * SECOND)
-        assert clock.now_seconds == pytest.approx(2.0)
-
-    def test_format_ns(self):
-        assert format_ns(5) == "5ns"
-        assert format_ns(5_000) == "5.000us"
-        assert format_ns(5_000_000) == "5.000ms"
-        assert "s" in format_ns(5 * SECOND)
 
 
 class TestEngine:

@@ -14,7 +14,6 @@ from repro.sim.engine import Engine
 from repro.sim.perturb import (
     PerturbationConfig,
     SchedulePerturbation,
-    live_perturbation,
     replay_perturbation,
 )
 
@@ -230,6 +229,9 @@ class TestPerturbedReplay:
         """A jittered live run still boots and steps without errors."""
         from repro.harness import build_testbed
 
-        testbed = build_testbed(perturb=live_perturbation(11))
+        perturb = SchedulePerturbation(
+            seed=11, config=PerturbationConfig(jitter_fraction=0.2)
+        )
+        testbed = build_testbed(perturb=perturb)
         testbed.run_ms(50)
         assert testbed.config.perturb.stats.scheduled > 0

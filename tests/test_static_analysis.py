@@ -39,9 +39,9 @@ def write_tree(base: Path, files: dict) -> Path:
 # The repo itself
 # ======================================================================
 class TestRepoIsClean:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_analysis(SRC_ROOT)
+    @pytest.fixture
+    def report(self, repo_analysis):
+        return repo_analysis
 
     def test_no_findings_on_this_tree(self, report):
         assert report.findings == [], "\n".join(

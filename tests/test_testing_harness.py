@@ -106,7 +106,6 @@ class TestCoverage:
         assert a.add("type:io") is True
         assert a.add("type:io") is False
         b = CoverageMap(["type:io", "trans:io>io"])
-        assert a.novelty(b) == 1
         assert a.merge(b) == 1
         assert a.merge(b) == 0
         assert "trans:io>io" in a
@@ -353,7 +352,7 @@ class TestFuzzerDeterminism:
         ]
         a, b = results
         assert a.findings == b.findings
-        assert a.coverage.sorted_features() == b.coverage.sorted_features()
+        assert a.coverage.features == b.coverage.features
         assert a.pool_size == b.pool_size
 
     def test_different_seeds_diverge(self):
@@ -361,7 +360,7 @@ class TestFuzzerDeterminism:
         b = fuzz(FuzzConfig(target="exploit", seed=4, budget=7))
         assert (
             a.findings != b.findings
-            or a.coverage.sorted_features() != b.coverage.sorted_features()
+            or a.coverage.features != b.coverage.features
         )
 
 

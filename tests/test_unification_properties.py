@@ -7,12 +7,12 @@ from repro.auditors import (
     HiddenRootkitDetector,
     KernelDataWatch,
     SyscallPolicyAuditor,
-    TraceRecorder,
     VigilantDetector,
 )
 from repro.core.events import EventType
 from repro.harness import Testbed, TestbedConfig
 from repro.hw.exits import ExitReason
+from repro.replay.recorder import RecordingAuditor
 from repro.workloads.common import start_workload
 
 
@@ -29,7 +29,7 @@ class TestManyAuditorsOneChannel:
             SyscallPolicyAuditor({}, default_allow=True),
             VigilantDetector(),
             KernelDataWatch(),
-            TraceRecorder(capacity=1000),
+            RecordingAuditor(),
         ]
         hypertap = testbed.monitor(auditors)
         watch = auditors[5]

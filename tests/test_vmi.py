@@ -9,6 +9,11 @@ def make_view(testbed):
     )
 
 
+def entry_for(view, pid):
+    """The VMI process-list entry for ``pid``, or ``None``."""
+    return next((e for e in view.list_processes() if e["pid"] == pid), None)
+
+
 def spawn_worker(testbed, name="w", uid=7):
     def worker(ctx):
         while True:
@@ -35,7 +40,7 @@ class TestListProcesses:
     def test_decodes_fields(self, testbed):
         task = spawn_worker(testbed, name="svc", uid=33)
         view = make_view(testbed)
-        entry = view.process_by_pid(task.pid)
+        entry = entry_for(view, task.pid)
         assert entry["uid"] == 33
         assert entry["comm"] == "svc"
         assert entry["is_kthread"] is False
@@ -48,7 +53,7 @@ class TestListProcesses:
         assert kflushd["is_kthread"] is True
 
     def test_missing_pid_none(self, testbed):
-        assert make_view(testbed).process_by_pid(31337) is None
+        assert entry_for(make_view(testbed), 31337) is None
 
 
 class TestVmiTrustBoundary:
@@ -56,7 +61,7 @@ class TestVmiTrustBoundary:
         """The core weakness (§IV-B): guest-writable input."""
         task = spawn_worker(testbed)
         view = make_view(testbed)
-        assert view.process_by_pid(task.pid) is not None
+        assert entry_for(view, task.pid) is not None
         # Attacker rewires the neighbours' pointers (DKOM by hand).
         kernel = testbed.kernel
         ref = kernel.task_ref(task)
@@ -64,13 +69,13 @@ class TestVmiTrustBoundary:
         next_gva = ref.read("tasks_next")
         kernel.task_ref_at(prev_gva).write("tasks_next", next_gva)
         kernel.task_ref_at(next_gva).write("tasks_prev", prev_gva)
-        assert view.process_by_pid(task.pid) is None
+        assert entry_for(view, task.pid) is None
 
     def test_vmi_fooled_by_value_tampering(self, testbed):
         """An attacker can also fake *values* (euid) that VMI reads."""
         task = spawn_worker(testbed, uid=0)
         testbed.kernel.task_ref(task).write("euid", 1000)
-        entry = make_view(testbed).process_by_pid(task.pid)
+        entry = entry_for(make_view(testbed), task.pid)
         assert entry["euid"] == 1000  # VMI faithfully reports the lie
 
     def test_decode_task_at_unmapped_is_none(self, testbed):

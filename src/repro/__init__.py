@@ -7,8 +7,9 @@ virtualization substrate.
 
 Public entry points:
 
-* :func:`repro.harness.build_testbed` — one-call assembly of machine,
-  hypervisor, guest kernel and monitoring.
+* :class:`repro.Testbed` — one machine, hypervisor and guest kernel,
+  configured by :class:`repro.TestbedConfig`, with ``boot()`` and
+  ``monitor(auditors)`` to start the guest and attach HyperTap.
 * :class:`repro.core.HyperTap` — the monitoring framework.
 * :mod:`repro.auditors` — GOSHD, HRKD and the three Ninjas.
 * :mod:`repro.faults` — the hang fault-injection campaign of §VIII-A.
@@ -17,8 +18,8 @@ Public entry points:
 * :mod:`repro.workloads` — hanoi / make / HTTP / UnixBench-like loads.
 """
 
-from repro.harness import Testbed, TestbedConfig, build_testbed
+from repro.harness import Testbed, TestbedConfig
 
 __version__ = "1.0.0"
 
-__all__ = ["Testbed", "TestbedConfig", "build_testbed", "__version__"]
+__all__ = ["Testbed", "TestbedConfig", "__version__"]

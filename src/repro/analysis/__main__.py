@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.analysis`` — invariant-aware static analysis.
 
-Exit codes: 0 clean (all violations fixed, suppressed inline, or
-baselined), 1 findings remain, 2 usage/configuration error.
+Exit codes: 0 clean (all violations fixed or suppressed inline),
+1 findings remain, 2 usage/configuration error.
 
 Examples::
 
@@ -9,7 +9,6 @@ Examples::
     python -m repro.analysis --json                # machine-readable
     python -m repro.analysis --rules trust-boundary,determinism
     python -m repro.analysis --root /tmp/tree/src  # any repro-shaped tree
-    python -m repro.analysis --write-baseline .hypertap-baseline.json
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import write_baseline
 from repro.analysis.runner import (
     render_json,
     render_sarif,
@@ -78,20 +76,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(output is byte-identical to --jobs 1)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="accepted-findings file; matching findings do not fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the current findings to PATH as the new baseline and "
-        "exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
     args = parser.parse_args(argv)
@@ -114,20 +98,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = run_analysis(
             root,
             selected_rules=selected,
-            baseline=args.baseline,
             jobs=max(1, args.jobs),
         )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, report.findings)
-        print(
-            f"wrote baseline with {len(report.findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
 
     if args.sarif:
         print(render_sarif(report))

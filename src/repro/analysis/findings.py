@@ -1,11 +1,6 @@
 """Findings: what the static-analysis pass reports.
 
-A finding is one violation of one rule at one source location.  The
-tuple (rule, path, message) — deliberately *without* the line number —
-is the finding's **fingerprint**: baselines key on fingerprints so an
-unrelated edit that shifts lines does not resurrect a baselined
-violation, while moving the same violation to a new file (or changing
-what it says) does.
+A finding is one violation of one rule at one source location.
 """
 
 from __future__ import annotations
@@ -23,10 +18,6 @@ class Finding:
     rule: str  #: Stable rule identifier (e.g. ``trust-boundary``).
     message: str
     col: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.rule}|{self.path}|{self.message}"
 
     def location(self) -> str:
         return f"{self.path}:{self.line}"

@@ -18,7 +18,7 @@ package adds the machinery to check flows:
   registry harvested from ``repro.core.derive.TAINT_SANITIZERS``.
 
 Four rule families ride on it (all pragma-suppressible with
-``# hypertap: allow(flow.<family>) — why`` and baseline-compatible):
+``# hypertap: allow(flow.<family>) — why``):
 
 * ``flow.guest-taint``      (:mod:`~repro.analysis.flow.guest_taint`)
 * ``flow.async-blocking``   (:mod:`~repro.analysis.flow.async_blocking`)

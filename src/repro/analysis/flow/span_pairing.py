@@ -13,14 +13,19 @@ CFG replays ``finally`` bodies on abrupt exits).
 
 **Pinned labels.**  Some counters carry a label that must come from a
 pinned vocabulary — ``flow.dropped{reason=…}`` from ``DROP_REASONS``,
-``flow.rejected{reason=…}`` from ``REJECT_REASONS`` — because ad-hoc
-labels fragment triage queries and dodge the accounting identity.  The
-event-coverage rule already checks *direct* ``flow.dropped`` call
-sites; this rule generalizes the idea to any pinned set and makes it
-**interprocedural**: a helper that forwards a parameter into the label
-(``ReplaySource._reject``) is detected, and every call site of the
-helper — including through local aliases like ``reject =
-self._reject`` — must pass a literal from the set.
+``flow.rejected{reason=…}`` from ``REJECT_REASONS``,
+``trace.spans_dropped{reason=…}`` from ``TRACE_DROP_REASONS`` — because
+ad-hoc labels fragment triage queries (``obs diff`` keys on exact label
+rows) and dodge the accounting identity (delivered + dropped + rejected
+== published).  Every call whose first argument is a pinned counter's
+name — ``registry.inc``, ``registry.counter`` or a helper such as
+``AuditingContainer._count`` — must carry the label, as a literal from
+the set.  The check is **interprocedural**: a function that forwards a
+parameter into the label (``ReplaySource._reject``) is detected, and
+every call site of it — including through local aliases like ``reject
+= self._reject`` — must pass a literal from the set.  A forwarder with
+no call site in the tree is flagged too, since nothing audits its
+label.
 """
 
 from __future__ import annotations
@@ -36,18 +41,14 @@ from repro.analysis.flow.callgraph import FunctionScope, iter_function_scopes
 from repro.analysis.repo import AnalysisContext
 from repro.analysis.rules import Rule, register
 
-#: (counter, label, table in repro.obs.metrics, checked directly here).
-#: Direct ``flow.dropped`` literals stay owned by the event-coverage
-#: rule (avoiding double findings); the interprocedural helper check
-#: below applies to every entry.
-PINNED_LABEL_SETS: Tuple[Tuple[str, str, str, bool], ...] = (
-    ("flow.dropped", "reason", "DROP_REASONS", False),
-    ("flow.rejected", "reason", "REJECT_REASONS", True),
-    ("trace.spans_dropped", "reason", "TRACE_DROP_REASONS", True),
+#: (counter, label, table in repro.obs.metrics).
+PINNED_LABEL_SETS: Tuple[Tuple[str, str, str], ...] = (
+    ("flow.dropped", "reason", "DROP_REASONS"),
+    ("flow.rejected", "reason", "REJECT_REASONS"),
+    ("trace.spans_dropped", "reason", "TRACE_DROP_REASONS"),
 )
 
 _METRICS_MODULE = "repro.obs.metrics"
-_COUNTER_FUNCS = {"inc", "counter"}
 
 
 def _find_str_set(tree: ast.Module, name: str) -> Optional[FrozenSet[str]]:
@@ -71,16 +72,8 @@ def _find_str_set(tree: ast.Module, name: str) -> Optional[FrozenSet[str]]:
     return None
 
 
-def _counter_call(call: ast.Call) -> Optional[str]:
-    """The counter name when this is an ``inc``/``counter`` call with a
-    literal first argument."""
-    func = call.func
-    attr = (
-        func.attr if isinstance(func, ast.Attribute)
-        else func.id if isinstance(func, ast.Name) else None
-    )
-    if attr not in _COUNTER_FUNCS:
-        return None
+def _literal_first_arg(call: ast.Call) -> Optional[str]:
+    """The call's first argument when it is a string literal."""
     if call.args and isinstance(call.args[0], ast.Constant) and isinstance(
         call.args[0].value, str
     ):
@@ -200,7 +193,7 @@ class SpanPairingRule(Rule):
         metrics = ctx.module(_METRICS_MODULE)
         tables: Dict[str, FrozenSet[str]] = {}
         if metrics is not None:
-            for counter, _label, table, _direct in PINNED_LABEL_SETS:
+            for counter, _label, table in PINNED_LABEL_SETS:
                 pinned = _find_str_set(metrics.tree, table)
                 if pinned is not None:
                     tables[counter] = pinned
@@ -214,16 +207,20 @@ class SpanPairingRule(Rule):
                 for node in scope.walk_own():
                     if not isinstance(node, ast.Call):
                         continue
-                    counter = _counter_call(node)
+                    counter = _literal_first_arg(node)
                     if counter is None or counter not in tables:
                         continue
                     label = _pin_label(counter)
-                    if label is None:
-                        continue
                     value = _keyword(node, label)
                     if value is None:
-                        continue
-                    if isinstance(value, ast.Constant):
+                        yield self.finding(
+                            source.rel, node.lineno,
+                            f"{counter} call without a {label}= label; "
+                            f"unlabelled rows dodge the accounting "
+                            f"identity and the pinned set "
+                            f"{_table_name(counter)}",
+                        )
+                    elif isinstance(value, ast.Constant):
                         yield from self._check_literal(
                             source.rel, node, counter, label, value,
                             tables[counter],
@@ -237,7 +234,7 @@ class SpanPairingRule(Rule):
                                 (info, counter,
                                  params.index(value.id), label)
                             )
-                    elif self._direct_checked(counter):
+                    else:
                         yield self.finding(
                             source.rel, node.lineno,
                             f"{counter}{{{label}=…}} must carry a literal "
@@ -250,16 +247,8 @@ class SpanPairingRule(Rule):
                 graph, info, counter, param_index, label, tables[counter]
             )
 
-    def _direct_checked(self, counter: str) -> bool:
-        for name, _label, _table, direct in PINNED_LABEL_SETS:
-            if name == counter:
-                return direct
-        return False
-
     def _check_literal(self, rel, node, counter, label, value, pinned
                        ) -> Iterator[Finding]:
-        if not self._direct_checked(counter):
-            return
         if not isinstance(value.value, str) or value.value not in pinned:
             yield self.finding(
                 rel, node.lineno,
@@ -272,7 +261,15 @@ class SpanPairingRule(Rule):
                          pinned) -> Iterator[Finding]:
         param_names = _positional_params(info.node)
         param = param_names[param_index]
-        for source, _scope, call in graph.call_sites_of(info):
+        sites = graph.call_sites_of(info)
+        if not sites:
+            yield self.finding(
+                info.rel, info.lineno,
+                f"{info.name}() forwards its argument into "
+                f"{counter}{{{label}=…}} but has no call site in the tree; "
+                f"nothing audits the label against {_table_name(counter)}",
+            )
+        for source, _scope, call in sites:
             value: Optional[ast.expr] = None
             if param_index < len(call.args):
                 candidate = call.args[param_index]
@@ -300,15 +297,15 @@ class SpanPairingRule(Rule):
                 )
 
 
-def _pin_label(counter: str) -> Optional[str]:
-    for name, label, _table, _direct in PINNED_LABEL_SETS:
+def _pin_label(counter: str) -> str:
+    for name, label, _table in PINNED_LABEL_SETS:
         if name == counter:
             return label
-    return None
+    raise KeyError(counter)
 
 
 def _table_name(counter: str) -> str:
-    for name, _label, table, _direct in PINNED_LABEL_SETS:
+    for name, _label, table in PINNED_LABEL_SETS:
         if name == counter:
             return f"{_METRICS_MODULE}.{table}"
     return "<unknown>"

@@ -18,8 +18,7 @@ belongs.
 
 Taint values are *sets of source descriptions* (frozensets of strings)
 so a finding can name every guest-controlled input that reached the
-sink; messages are line-number-free, keeping baseline fingerprints
-stable under unrelated edits.
+sink.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A rule is a class with a stable ``id``, a one-line ``summary``, and a
 ``check(ctx)`` generator yielding :class:`~repro.analysis.findings.Finding`
 objects.  Registering it here is all it takes to ship a new rule — the
-runner, the pragma mechanism (``# hypertap: allow(<id>) — why``), the
-baseline file, and ``--rules`` selection pick it up automatically.
+runner, the pragma mechanism (``# hypertap: allow(<id>) — why``) and
+``--rules`` selection pick it up automatically.
 """
 
 from __future__ import annotations

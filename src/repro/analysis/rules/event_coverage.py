@@ -25,13 +25,7 @@ that class of gap a commit-time failure by checking, from the ASTs:
    ``repro.obs.metrics.STAGE_COUNTER_LABELS``, so no event type can flow
    through the pipeline without an observability stage counter (silent
    drops of an uncounted type would be invisible to ``repro.obs``);
-7. **drop reasons** — every ``flow.dropped`` increment carries a literal
-   ``reason=`` label drawn from ``repro.obs.metrics.DROP_REASONS``.  A
-   reason minted ad hoc at a call site would fragment triage queries
-   (``obs diff`` keys on exact label rows) and dodge the accounting
-   identity the serve smoke job asserts; a computed reason is flagged
-   too, because this rule cannot audit it;
-8. **binary layouts** — every ``EventType`` member's *value* keys both
+7. **binary layouts** — every ``EventType`` member's *value* keys both
    ``repro.replay.btrace.BTRACE_LAYOUTS`` and ``TYPE_CODES``.  A new
    ``GuestEvent`` subclass without a binary layout would fall to the
    JSON-escape path silently — correct but 10x slower, which is
@@ -67,8 +61,6 @@ EVENT_BASE = "GuestEvent"
 CODEC_REGISTRY = "EVENT_CLASSES"
 REASONS_TABLE = "REQUIRED_EXIT_REASONS"
 STAGE_TABLE = "STAGE_COUNTER_LABELS"
-DROP_SET = "DROP_REASONS"
-DROP_COUNTER = "flow.dropped"
 
 
 def _enum_members(tree: ast.Module, enum_name: str) -> Tuple[List[str], int]:
@@ -143,32 +135,6 @@ def _find_dict_assign(
     return None, 1
 
 
-def _find_str_set_assign(
-    tree: ast.Module, name: str
-) -> Tuple[Optional[Set[str]], int]:
-    """String members of the set/frozenset literal assigned to ``name``."""
-    for node in tree.body:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        value = node.value
-        if isinstance(value, ast.Call) and dotted_name(value.func) in (
-            "frozenset",
-            "set",
-        ):
-            value = value.args[0] if value.args else ast.Set(elts=[])
-        if isinstance(value, (ast.Set, ast.List, ast.Tuple)):
-            members = {
-                e.value
-                for e in value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            }
-            return members, node.lineno
-    return None, 1
-
-
 def _event_type_of_key(key: Optional[ast.expr]) -> Optional[str]:
     """``EventType.X`` or ``EventType.X.value`` -> ``X``."""
     dotted = dotted_name(key) if key is not None else None
@@ -228,8 +194,6 @@ class EventCoverageRule(Rule):
         obs = ctx.module(OBS_METRICS_MODULE)
         if events is not None and obs is not None:
             yield from self._check_stage_counters(events, obs)
-        if obs is not None:
-            yield from self._check_drop_reasons(ctx, obs)
         btrace = ctx.module(BTRACE_MODULE)
         if events is not None and btrace is not None:
             yield from self._check_btrace_layouts(events, btrace)
@@ -369,60 +333,6 @@ class EventCoverageRule(Rule):
                 )
 
     # ------------------------------------------------------------------
-    def _check_drop_reasons(
-        self, ctx: AnalysisContext, obs: SourceFile
-    ) -> Iterator[Finding]:
-        reasons, _ = _find_str_set_assign(obs.tree, DROP_SET)
-        if reasons is None:
-            yield self.finding(
-                obs.rel,
-                1,
-                f"drop-reason set '{DROP_SET}' not found as a module-level "
-                "set literal; flow.dropped call sites cannot be audited",
-            )
-            return
-        for source in ctx.files:
-            for node in ast.walk(source.tree):
-                if not (isinstance(node, ast.Call) and node.args):
-                    continue
-                first = node.args[0]
-                if not (
-                    isinstance(first, ast.Constant)
-                    and first.value == DROP_COUNTER
-                ):
-                    continue
-                reason_kw = next(
-                    (kw for kw in node.keywords if kw.arg == "reason"), None
-                )
-                if reason_kw is None:
-                    yield self.finding(
-                        source.rel,
-                        node.lineno,
-                        f"'{DROP_COUNTER}' increment without a reason= label; "
-                        "unlabelled drops dodge the accounting identity "
-                        "(delivered + dropped + rejected == published)",
-                    )
-                elif not (
-                    isinstance(reason_kw.value, ast.Constant)
-                    and isinstance(reason_kw.value.value, str)
-                ):
-                    yield self.finding(
-                        source.rel,
-                        node.lineno,
-                        f"'{DROP_COUNTER}' reason= is not a string literal; "
-                        f"this rule cross-checks reasons against {DROP_SET} "
-                        "and cannot audit a computed one",
-                    )
-                elif reason_kw.value.value not in reasons:
-                    yield self.finding(
-                        source.rel,
-                        node.lineno,
-                        f"drop reason '{reason_kw.value.value}' is not in "
-                        f"{OBS_METRICS_MODULE}.{DROP_SET}; add it there so "
-                        "triage queries and the serve smoke accounting see "
-                        "every reason",
-                    )
-
     # ------------------------------------------------------------------
     def _check_btrace_layouts(
         self, events: SourceFile, btrace: SourceFile

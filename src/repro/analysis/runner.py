@@ -1,10 +1,10 @@
-"""Orchestration: discover → rule sweep → suppress → baseline → render.
+"""Orchestration: discover → rule sweep → suppress → render.
 
 The output is deterministic by construction — files discovered in
 sorted order, rules run in sorted-id order, findings sorted before
 rendering, no timestamps — so two runs over the same tree are
 byte-identical (a property the test suite asserts; diffable CI logs
-and stable baselines depend on it).
+depend on it).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import PRAGMA_RULE
 from repro.analysis.repo import AnalysisContext
@@ -23,7 +22,7 @@ from repro.analysis.rules import REGISTRY, all_rules, rule_ids
 from repro.errors import ConfigurationError
 
 #: Schema version of the ``--json`` output.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass
@@ -35,7 +34,6 @@ class Report:
     files_scanned: int
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
@@ -103,15 +101,14 @@ def _rule_task(task: Tuple[str, str]) -> List[Finding]:
 def run_analysis(
     root: Path,
     selected_rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Path] = None,
     jobs: int = 1,
 ) -> Report:
     """Run the pass over the tree rooted at ``root``.
 
     ``jobs > 1`` fans rules across worker processes via
-    ``repro.parallel.parallel_map``; suppression, pragma audit and
-    baseline application stay in the parent, so the report is
-    byte-identical to a serial run.
+    ``repro.parallel.parallel_map``; suppression and the pragma audit
+    stay in the parent, so the report is byte-identical to a serial
+    run.
     """
     known = set(rule_ids())
     if selected_rules is not None:
@@ -158,10 +155,6 @@ def run_analysis(
         for source in ctx.files:
             active.extend(source.pragmas.audit(source.rel))
 
-    baselined = 0
-    if baseline is not None:
-        active, baselined = apply_baseline(active, load_baseline(baseline))
-
     return Report(
         root=str(root),
         rules=[rule.id for rule in rules] + ([PRAGMA_RULE] if selected_rules is None else []),
@@ -170,7 +163,6 @@ def run_analysis(
             active, key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
         ),
         suppressed=suppressed,
-        baselined=baselined,
     )
 
 
@@ -184,13 +176,8 @@ def render_text(report: Report) -> str:
     summary = (
         f"{len(report.findings)} finding(s) in {report.files_scanned} file(s)"
     )
-    extras = []
     if report.suppressed:
-        extras.append(f"{report.suppressed} suppressed inline")
-    if report.baselined:
-        extras.append(f"{report.baselined} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({report.suppressed} suppressed inline)"
     lines.append(summary)
     if report.clean:
         lines.append("OK: hardware-invariant trust boundary holds")
@@ -205,7 +192,6 @@ def render_json(report: Report) -> str:
         "findings": [f.to_json() for f in report.findings],
         "counts_by_rule": report.counts_by_rule(),
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "clean": report.clean,
     }
     return json.dumps(payload, indent=2, sort_keys=True)

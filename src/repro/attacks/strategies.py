@@ -200,8 +200,3 @@ class SpammingAttack:
         if not self.spawned:
             self.spam(uid)
         return self.inner.launch(uid)
-
-    def cleanup(self) -> None:
-        for task in self.spawned:
-            self.kernel.force_exit(task)
-        self.spawned.clear()

@@ -44,20 +44,15 @@ class GuestOSHangDetector(Auditor):
         self.hung_vcpus: Set[int] = set()
         self.first_hang_time_ns: Optional[int] = None
         self.full_hang_time_ns: Optional[int] = None
-        self._running = False
 
     # ------------------------------------------------------------------
     def on_attach(self) -> None:
         now = self.hypertap.machine.clock.now
         for vcpu in self.hypertap.machine.vcpus:
             self._last_switch_ns[vcpu.index] = now
-        self._running = True
         self.hypertap.engine.schedule(
             self.check_period_ns, self._check, label="goshd-check"
         )
-
-    def on_detach(self) -> None:
-        self._running = False
 
     # ------------------------------------------------------------------
     def audit(self, event: GuestEvent) -> None:
@@ -72,8 +67,6 @@ class GuestOSHangDetector(Auditor):
                 self.full_hang_time_ns = None
 
     def _check(self) -> None:
-        if not self._running:
-            return
         machine = self.hypertap.machine
         now = machine.clock.now
         for vcpu in machine.vcpus:

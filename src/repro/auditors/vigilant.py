@@ -99,17 +99,12 @@ class VigilantDetector(Auditor):
         self.envelope: Optional[Envelope] = None
         self._consecutive_bad = 0
         self.windows_seen = 0
-        self._running = False
 
     # ------------------------------------------------------------------
     def on_attach(self) -> None:
-        self._running = True
         self.hypertap.engine.schedule(
             self.window_ns, self._close_window, label="vigilant-window"
         )
-
-    def on_detach(self) -> None:
-        self._running = False
 
     # ------------------------------------------------------------------
     def audit(self, event: GuestEvent) -> None:
@@ -124,8 +119,6 @@ class VigilantDetector(Auditor):
 
     # ------------------------------------------------------------------
     def _close_window(self) -> None:
-        if not self._running:
-            return
         num_vcpus = len(self.hypertap.machine.vcpus)
         vector = self._current.vector(num_vcpus)
         self._current = FeatureWindow()

@@ -55,9 +55,6 @@ class Auditor:
     def on_attach(self) -> None:
         """Hook for auditors that need setup (timers, baselines)."""
 
-    def on_detach(self) -> None:
-        """Hook called when monitoring is torn down."""
-
     # ------------------------------------------------------------------
     # Event intake
     # ------------------------------------------------------------------

@@ -193,10 +193,6 @@ class UnifiedChannel:
         for interceptor in self.interceptors:
             interceptor.enable()
 
-    def disable_all(self) -> None:
-        for interceptor in self.interceptors:
-            interceptor.disable()
-
     @property
     def exit_reasons(self) -> frozenset:
         """Union of exit reasons the interceptor set needs."""

@@ -106,17 +106,6 @@ class HyperTap:
         for auditor in self.auditors:
             auditor.bind(self)
 
-    def detach(self) -> None:
-        if not self.attached:
-            return
-        for auditor in self.auditors:
-            auditor.on_detach()
-        for channel in self.channels:
-            channel.disable_all()
-        self.multiplexer.unregister_vm(self.vm_id)
-        self.hypervisor.detach_forwarder()
-        self.attached = False
-
     # ------------------------------------------------------------------
     # Control interface for auditors
     # ------------------------------------------------------------------

@@ -47,9 +47,6 @@ class Interceptor:
     def enable(self) -> None:
         """Configure VMCS/EPT so the needed exits occur."""
 
-    def disable(self) -> None:
-        """Best-effort deconfiguration."""
-
     def on_exit(self, vcpu: VCPU, exit_event: VMExit) -> None:
         raise NotImplementedError
 
@@ -85,10 +82,6 @@ class ProcessSwitchInterceptor(Interceptor):
             # A booted guest already has a PDBA loaded.
             if vcpu.regs.cr3:
                 self.pdba_set.add(vcpu.regs.cr3)
-
-    def disable(self) -> None:
-        for vcpu in self.machine.vcpus:
-            vcpu.vmcs.controls.cr3_load_exiting = False
 
     def on_exit(self, vcpu: VCPU, exit_event: VMExit) -> None:
         if exit_event.qual("cr") != 3 or exit_event.qual("op") != "write":
@@ -153,12 +146,6 @@ class ThreadSwitchInterceptor(Interceptor):
         for vcpu in self.machine.vcpus:
             vcpu.vmcs.controls.cr3_load_exiting = True
         self._try_protect()
-
-    def disable(self) -> None:
-        for gpa in self._rsp0_gpas.values():
-            self.machine.ept.set_permissions(gpa, write=True)
-        self._protected = False
-        self._rsp0_gpas.clear()
 
     def _try_protect(self) -> None:
         """Write-protect every vCPU's TSS page once TR is valid."""
@@ -262,15 +249,6 @@ class Int80SyscallInterceptor(Interceptor):
                 VECTOR_SOFTWARE_INT_WINDOWS
             )
 
-    def disable(self) -> None:
-        for vcpu in self.machine.vcpus:
-            vcpu.vmcs.controls.exception_bitmap.discard(
-                VECTOR_SOFTWARE_INT_LINUX
-            )
-            vcpu.vmcs.controls.exception_bitmap.discard(
-                VECTOR_SOFTWARE_INT_WINDOWS
-            )
-
     def on_exit(self, vcpu: VCPU, exit_event: VMExit) -> None:
         if exit_event.qual("ex_type") != "SOFTWARE_INT":
             return
@@ -307,7 +285,6 @@ class FastSyscallInterceptor(Interceptor):
     def __init__(self, machine: Machine, vm_id: str, emit: Emit) -> None:
         super().__init__(machine, vm_id, emit)
         self.syscall_entry: Optional[int] = None
-        self._entry_gpa_page: Optional[int] = None
         self.syscall_count = 0
 
     def enable(self) -> None:
@@ -319,19 +296,11 @@ class FastSyscallInterceptor(Interceptor):
                 self._protect_entry(entry)
                 break
 
-    def disable(self) -> None:
-        if self._entry_gpa_page is not None:
-            self.machine.ept.set_permissions(
-                self._entry_gpa_page, execute=True
-            )
-            self._entry_gpa_page = None
-
     def _protect_entry(self, entry_gva: int) -> None:
         gpa = self._kernel_gva_to_gpa(entry_gva)
         if gpa is None:
             return
         self.syscall_entry = entry_gva
-        self._entry_gpa_page = gpa
         self.machine.ept.set_permissions(gpa, execute=False)
 
     def on_exit(self, vcpu: VCPU, exit_event: VMExit) -> None:

@@ -125,20 +125,6 @@ class Testbed:
         return self.engine.clock.now / SECOND
 
 
-def build_testbed(
-    auditors: Optional[List[Auditor]] = None, **kwargs
-) -> Testbed:
-    """Convenience: configured, booted, optionally monitored testbed.
-
-    Keyword arguments map to :class:`TestbedConfig` fields.
-    """
-    testbed = Testbed(TestbedConfig(**kwargs))
-    testbed.boot()
-    if auditors:
-        testbed.monitor(auditors)
-    return testbed
-
-
 class VmInstance:
     """One guest VM on a shared host (see :class:`SharedHost`)."""
 

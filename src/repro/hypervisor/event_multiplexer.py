@@ -11,9 +11,7 @@ The EM is a host-side module independent of the hypervisor.  It:
 Submission and delivery are accounted per ``(vm, reason)`` in the
 shared :class:`~repro.obs.metrics.MetricsRegistry` (``em.submitted`` /
 ``em.delivered``); the scalar ``submitted`` / ``delivered`` views are
-sums over those rows.  ``unregister_vm`` resets the departing VM's
-rows, so a re-attached VM starts its accounting from zero instead of
-inheriting the previous run's counts.
+sums over those rows.
 """
 
 from __future__ import annotations
@@ -74,14 +72,12 @@ class EventMultiplexer:
         self._sampler = HeartbeatSampler(
             rhc, rhc_sample_every, metrics=self.metrics
         )
-        self._consumers: Dict[str, List[Tuple[frozenset, Consumer]]] = {}
         #: Fan-out index: vm_id -> exit reason -> consumers wanting it,
         #: in registration order.  Precomputed at registration time so
         #: the per-event hot path is a dict hit, not a scan over every
         #: consumer's interest set.
         self._by_reason: Dict[str, Dict[ExitReason, List[Consumer]]] = {}
-        #: Cached registry handles per (vm, reason); dropped on
-        #: ``unregister_vm`` together with the underlying rows.
+        #: Cached registry handles per (vm, reason).
         self._submit_cells: Dict[Tuple[str, ExitReason], Counter] = {}
         self._deliver_cells: Dict[Tuple[str, ExitReason], Counter] = {}
 
@@ -138,23 +134,9 @@ class EventMultiplexer:
         self, vm_id: str, reasons: frozenset, consumer: Consumer
     ) -> None:
         """Attach a consumer for ``reasons`` on ``vm_id``'s events."""
-        self._consumers.setdefault(vm_id, []).append((reasons, consumer))
         index = self._by_reason.setdefault(vm_id, {})
         for reason in reasons:
             index.setdefault(reason, []).append(consumer)
-
-    def unregister_vm(self, vm_id: str) -> None:
-        self._consumers.pop(vm_id, None)
-        self._by_reason.pop(vm_id, None)
-        # A departing VM takes its accounting with it: a later Machine
-        # run re-attaching under the same vm_id starts from zero rather
-        # than inheriting the previous run's counts.  Only em.* rows —
-        # other components sharing the registry keep their history (and
-        # their cached handles stay live).
-        self.metrics.reset(name_prefix="em.", vm=vm_id)
-        for cache in (self._submit_cells, self._deliver_cells):
-            for key in [k for k in cache if k[0] == vm_id]:
-                del cache[key]
 
     def interest_count(self, vm_id: str, reason: ExitReason) -> int:
         """How many consumers want this exit reason (EF filter)."""

@@ -315,39 +315,6 @@ class MetricsRegistry:
             out = [row for row in out if row[0] == name]
         return out
 
-    def reset(self, name_prefix: Optional[str] = None, **labels: Any) -> int:
-        """Drop rows whose labels include ``labels`` (and, when given,
-        whose name starts with ``name_prefix``).
-
-        Returns the number of rows removed.  This is how a long-lived
-        host component (the Event Multiplexer) starts a re-attached VM
-        from zero instead of leaking the previous run's counts — the
-        prefix confines the reset to that component's own rows, leaving
-        cached handles held by unrelated components live.
-        """
-        want = set(_label_key(labels))
-        removed = 0
-        for store in (self._counters, self._histograms):
-            stale = [
-                key
-                for key in store
-                if want <= set(key[1])
-                and (name_prefix is None or key[0].startswith(name_prefix))
-            ]
-            for key in stale:
-                del store[key]
-                removed += 1
-        if removed and (name_prefix is None or "trace.".startswith(name_prefix)
-                        or name_prefix.startswith("trace.")):
-            # Cached drop-cell handles would keep counting into detached
-            # cells after their rows were removed; re-resolve lazily.
-            # (Trace seqs survive a counter reset — trace ids must stay
-            # monotone for the registry's lifetime.)
-            self._trace_drop_cells.clear()
-            for hot in self._span_hot.values():
-                hot[1] = None
-        return removed
-
     # ------------------------------------------------------------------
     # Histograms
     # ------------------------------------------------------------------

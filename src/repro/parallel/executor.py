@@ -22,17 +22,14 @@ call fails with :class:`InfrastructureFailure` naming the item — a task
 is never silently dropped, because a dropped trial would skew campaign
 statistics without any visible error.
 
-Fan-out overhead is attacked three ways (this is what makes ``jobs=2``
+Fan-out overhead is attacked two ways (this is what makes ``jobs=2``
 pay on the ledger):
 
 * **persistent pool** — one module-level :class:`ProcessPoolExecutor`
   is reused across ``parallel_map`` calls instead of paying fork +
   interpreter warm-up per call; it is recycled when the job count
-  changes, when a worker dies, or when :mod:`repro.parallel.shared`
-  publishes new fork-inherited state;
-* **fork-time inheritance** — large read-only inputs travel to workers
-  as copy-on-write pages (primed via ``shared.prime``), never as
-  per-task pickles; tasks carry only small descriptors;
+  changes, when a worker dies, or when :func:`repro.parallel.shared.prime`
+  moved the pool generation;
 * **batched merges** — results come back one chunk at a time and merge
   into the pre-sized slot table per chunk, not per task.
 
@@ -194,8 +191,8 @@ def _get_pool(jobs: int) -> ProcessPoolExecutor:
 
     Rebuilt when the job count changes, when a previous call found the
     pool broken, or when :mod:`repro.parallel.shared` was primed since
-    the workers forked (a stale worker must never serve newer shared
-    state).  Reuse is what deletes the fork + interpreter warm-up cost
+    the workers forked (a stale worker must never serve state the
+    parent has since changed).  Reuse is what deletes the fork + interpreter warm-up cost
     from every ``parallel_map`` call after the first.
     """
     global _POOL, _POOL_JOBS, _POOL_GENERATION

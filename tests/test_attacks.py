@@ -88,14 +88,6 @@ class TestSpamming:
         testbed.run_s(0.3)
         assert len(testbed.kernel.guest_view_pids()) >= 50
 
-    def test_cleanup(self, testbed):
-        spam = SpammingAttack(testbed.kernel, idle_processes=20)
-        spam.spam()
-        testbed.run_s(0.2)
-        spam.cleanup()
-        testbed.run_s(0.2)
-        assert len(testbed.kernel.guest_view_pids()) < 20
-
     def test_launch_spams_if_not_done(self, testbed):
         spam = SpammingAttack(testbed.kernel, idle_processes=10)
         spam.launch()

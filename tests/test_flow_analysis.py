@@ -1,8 +1,8 @@
 """Tier-1 tests for the flow-sensitive rule families (repro.analysis.flow).
 
 Each family must (a) catch its seeded violation, (b) stay quiet on the
-sanctioned pattern, and (c) compose with the pragma/baseline machinery
-exactly like the syntactic rules.  The runner's ``--jobs`` fan-out and
+sanctioned pattern, and (c) compose with the pragma machinery exactly
+like the syntactic rules.  The runner's ``--jobs`` fan-out and
 the SARIF renderer must be byte-deterministic.
 """
 
@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.__main__ import main
-from repro.analysis.baseline import write_baseline
 from repro.analysis.runner import (
     expand_rule_patterns,
     render_sarif,
@@ -475,35 +474,9 @@ class TestSpanPairing:
 
 
 # ======================================================================
-# Baseline + runner mechanics for flow findings
+# Runner mechanics for flow findings
 # ======================================================================
 class TestFlowMechanics:
-    def test_baseline_fingerprint_survives_line_moves(self, tmp_path):
-        files = {
-            "repro/core/em.py": """
-            class EM:
-                def handle(self, event: "GuestEvent") -> None:
-                    self.machine.ept.set_permissions(event.gpa, execute=False)
-            """,
-        }
-        root = write_tree(tmp_path, files)
-        report = run_analysis(root, selected_rules=["flow.guest-taint"])
-        assert len(report.findings) == 1
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, report.findings)
-        # Shift every line: the fingerprint is line-free, so the
-        # baseline must still match.
-        path = root / "repro/core/em.py"
-        path.write_text(
-            "# moved\n# moved again\n" + path.read_text(encoding="utf-8"),
-            encoding="utf-8",
-        )
-        after = run_analysis(
-            root, selected_rules=["flow.guest-taint"], baseline=baseline
-        )
-        assert after.findings == []
-        assert after.baselined == 1
-
     def test_rules_glob_expansion(self):
         expanded = expand_rule_patterns(["flow.*"])
         assert expanded == [

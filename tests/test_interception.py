@@ -127,15 +127,6 @@ class TestThreadSwitchInterception:
             _r, w, _x = testbed.machine.ept.permissions(rsp0_gpa)
             assert not w
 
-    def test_detach_restores_permissions(self, testbed):
-        recorder = Recorder(EventType.THREAD_SWITCH)
-        ht = testbed.monitor([recorder])
-        testbed.run_s(0.2)
-        gpas = list(ht.channel.thread_switches._rsp0_gpas.values())
-        ht.detach()
-        for gpa in gpas:
-            assert testbed.machine.ept.permissions(gpa)[1]
-
 
 class TestSyscallInterception:
     def test_sysenter_interception(self, testbed):

@@ -20,7 +20,7 @@ from repro.guest.layouts import (
     direct_map_gpa,
     direct_map_gva,
 )
-from repro.harness import build_testbed
+from repro.harness import Testbed, TestbedConfig
 from repro.hw.machine import Machine, MachineConfig
 from repro.hw.memory import PAGE_SIZE
 from repro.hw.vmcs import ExecutionControls, Vmcs
@@ -158,7 +158,8 @@ class TestDevices:
 
 class TestHarness:
     def test_build_testbed_boots(self):
-        testbed = build_testbed(seed=77)
+        testbed = Testbed(TestbedConfig(seed=77))
+        testbed.boot()
         assert testbed.kernel.booted
         assert testbed.hypertap is None
 
@@ -170,12 +171,15 @@ class TestHarness:
             def audit(self, event):
                 pass
 
-        testbed = build_testbed(auditors=[Quiet()], seed=77)
+        testbed = Testbed(TestbedConfig(seed=77))
+        testbed.boot()
+        testbed.monitor([Quiet()])
         assert testbed.hypertap is not None
         assert testbed.hypertap.attached
 
     def test_now_s(self):
-        testbed = build_testbed(seed=1)
+        testbed = Testbed(TestbedConfig(seed=1))
+        testbed.boot()
         testbed.run_ms(1500)
         assert testbed.now_s == pytest.approx(1.5)
 

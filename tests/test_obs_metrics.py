@@ -52,24 +52,6 @@ class TestCounters:
         reg.inc("exits", vm="vm0", vcpu=1)
         assert reg.value("exits", vm="vm0", vcpu="1") == 1
 
-    def test_reset_is_prefix_confined(self):
-        reg = MetricsRegistry()
-        reg.inc("em.submitted", vm="vm0", reason="IO")
-        reg.inc("em.delivered", vm="vm0", reason="IO")
-        reg.inc("exits", vm="vm0", reason="IO")
-        removed = reg.reset(name_prefix="em.", vm="vm0")
-        assert removed == 2
-        assert reg.total("em.submitted") == 0
-        # The prefix keeps the reset away from other components' rows.
-        assert reg.value("exits", vm="vm0", reason="IO") == 1
-
-    def test_reset_by_labels_only(self):
-        reg = MetricsRegistry()
-        reg.inc("em.submitted", vm="vm0", reason="IO")
-        reg.inc("em.submitted", vm="vm1", reason="IO")
-        reg.reset(name_prefix="em.", vm="vm0")
-        assert reg.total("em.submitted", vm="vm1") == 1
-
 
 class TestHistograms:
     def test_bucket_placement(self):

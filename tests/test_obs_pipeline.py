@@ -79,17 +79,6 @@ class TestHostHops:
         assert em.delivered == tb.metrics.total("em.delivered")
         assert em.submitted > 0
 
-    def test_em_counters_reset_between_runs(self):
-        # A re-attached VM must start from zero: the EM is long-lived,
-        # its per-VM rows are not.
-        tb = monitored_testbed([Watcher()])
-        tb.run_s(1.0)
-        assert tb.metrics.total("em.submitted", vm="vm0") > 0
-        tb.hypertap.detach()
-        assert tb.metrics.total("em.submitted", vm="vm0") == 0
-        # Other components' rows survive the EM-scoped reset.
-        assert tb.metrics.total("exits", vm="vm0") > 0
-
 
 class TestPipelineHops:
     def test_published_and_delivered_flow(self):
@@ -156,7 +145,7 @@ class TestSilentStallDetection:
         assert not host.rhc.stalled_flows
         # vm1's event flow dies, but vm0 keeps the heartbeat alive —
         # the exact failure a heartbeat alone cannot see.
-        host.multiplexer.unregister_vm("vm1")
+        host.vms[1].kvm.detach_forwarder()
         host.run_s(8.0)
         assert "vm1.em.submitted" in host.rhc.stalled_flows
         assert "vm0.em.submitted" not in host.rhc.stalled_flows

@@ -3,12 +3,15 @@ outside ``tests/``.
 
 A public function, method or property (no leading ``_``) that only the
 tests call is code the monitor carries and trusts for nothing.  The
-guard parses each file once and counts every identifier once.  A def is
-referenced when its name occurs anywhere in ``src/``, ``perfbench/``,
-``examples/``, ``benchmarks/`` or ``.github/`` apart from its own
-``def`` line, an ``import`` statement or an ``__all__`` entry.  The
-match is by name, so the guard is a floor: it catches defs nothing
-mentions, not defs that share a name with a live one.
+guard parses each file once and counts only code: a def is referenced
+when its name is a ``Name`` or an ``Attribute`` in ``src/``,
+``perfbench/``, ``examples/`` or ``benchmarks/``, or a string constant
+shaped like an identifier.  A dotted constant is split on ``.``, so
+perfbench's ``Boundary("module", "Class.method", ...)`` rows count for
+``method``.  Comments, docstrings, ``import`` statements and ``__all__``
+entries do not count; ``.github/`` YAML is matched as text.  The match
+is by name, so the guard is a floor: it catches defs nothing calls, not
+defs that share a name with a live one.
 
 ``KEPT`` lists the only exceptions: defs a test uses as an independent
 oracle against the production path, each with the reason it stays.
@@ -39,6 +42,11 @@ KEPT = {
         "inverse of encode_tss: the round-trip property checks the oracle "
         "itself before it judges RSP0_OFFSET"
     ),
+    "repro.hw.vmcs.decode_controls": (
+        "inverse of encode_controls, which packs the hut digest's "
+        "controls word: the VMCS round-trip property decodes each word "
+        "back, so two control states are equal iff their words are"
+    ),
     "repro.obs.metrics.MetricsRegistry.spans_minted": (
         "trace ids minted, counted apart from the span ring and the drop "
         "counter; the span-conservation law (minted == ring + dropped) "
@@ -47,19 +55,36 @@ KEPT = {
 }
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
-_DEF_NAME = re.compile(r"\bdef\s+([A-Za-z_]\w*)")
 
 
-def _not_callers(tree: ast.Module) -> Iterator[int]:
-    """0-based lines of import statements and ``__all__`` assignments."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                continue
-        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+def _is_all(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _code_names(tree: ast.Module) -> Iterator[str]:
+    """Names the code uses: ``Name`` ids, ``Attribute`` attrs and the
+    ``.``-separated parts of identifier-shaped string constants, outside
+    ``__all__`` assignments (imports hold only ``alias`` nodes)."""
+    stack: List[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if _is_all(node):
             continue
-        yield from range(node.lineno - 1, node.end_lineno)
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(not part or _IDENT.fullmatch(part) for part in parts):
+                yield from filter(None, parts)
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _public_defs(tree: ast.Module, module: str) -> Iterator[Tuple[str, str]]:
@@ -80,7 +105,6 @@ def _public_defs(tree: ast.Module, module: str) -> Iterator[Tuple[str, str]]:
 def unreferenced_defs(root: Path) -> List[str]:
     """Qualified names of public ``src/`` defs with no caller outside tests."""
     mentions: Counter = Counter()
-    definitions: Counter = Counter()
     defs: List[Tuple[str, str]] = []
     for tree_name in CALLER_TREES:
         base = root / tree_name
@@ -90,22 +114,14 @@ def unreferenced_defs(root: Path) -> List[str]:
                 continue
             if path.suffix != ".py" or "tests" in path.relative_to(root).parts:
                 continue
-            text = path.read_text()
-            tree = ast.parse(text, str(path))
-            lines = text.splitlines()
-            for index in set(_not_callers(tree)):
-                lines[index] = ""
-            code = "\n".join(lines)
-            mentions.update(_IDENT.findall(code))
-            definitions.update(_DEF_NAME.findall(code))
+            tree = ast.parse(path.read_text(), str(path))
+            mentions.update(_code_names(tree))
             if tree_name == "src":
                 parts = path.relative_to(base).with_suffix("").parts
                 if parts[-1] == "__init__":
                     parts = parts[:-1]
                 defs.extend(_public_defs(tree, ".".join(parts)))
-    return sorted(
-        qualname for qualname, name in defs if mentions[name] <= definitions[name]
-    )
+    return sorted(qualname for qualname, name in defs if not mentions[name])
 
 
 # ======================================================================
@@ -206,3 +222,33 @@ def test_seeded_reexport_is_not_a_caller(tmp_path):
         "src/pkg/mod.py": "def exported():\n    pass\n",
     })
     assert unreferenced_defs(root) == ["pkg.mod.exported"]
+
+
+def test_seeded_mention_in_prose_is_not_a_caller(tmp_path):
+    root = _seed(tmp_path, {
+        "src/pkg/mod.py": (
+            "class Tap:\n"
+            "    def detach(self):\n"
+            "        pass\n"
+        ),
+        "src/pkg/sink.py": (
+            '"""Re-derived at every sink detach."""\n\n'
+            "# detach() is the tests' teardown\n"
+            "NOTE = 'call detach when done'\n"
+        ),
+    })
+    assert unreferenced_defs(root) == ["pkg.mod.Tap.detach"]
+
+
+def test_seeded_dotted_string_constant_is_a_caller(tmp_path):
+    root = _seed(tmp_path, {
+        "src/pkg/mod.py": (
+            "class Detector:\n"
+            "    def check(self):\n"
+            "        pass\n"
+        ),
+        "perfbench/layers.py": (
+            "ROWS = [('pkg.mod', 'Detector.check', 'auditor')]\n"
+        ),
+    })
+    assert unreferenced_defs(root) == []

@@ -227,11 +227,12 @@ class TestPerturbedReplay:
 
     def test_live_perturbation_on_testbed(self):
         """A jittered live run still boots and steps without errors."""
-        from repro.harness import build_testbed
+        from repro.harness import Testbed, TestbedConfig
 
         perturb = SchedulePerturbation(
             seed=11, config=PerturbationConfig(jitter_fraction=0.2)
         )
-        testbed = build_testbed(perturb=perturb)
+        testbed = Testbed(TestbedConfig(perturb=perturb))
+        testbed.boot()
         testbed.run_ms(50)
         assert testbed.config.perturb.stats.scheduled > 0

@@ -432,8 +432,8 @@ class TestEventCoverage:
                 """,
             },
         )
-        report = run_analysis(root, selected_rules=["event-coverage"])
-        assert [f.rule for f in report.findings] == ["event-coverage"]
+        report = run_analysis(root, selected_rules=["flow.span-pairing"])
+        assert [f.rule for f in report.findings] == ["flow.span-pairing"]
         assert "mystery" in report.findings[0].message
         assert "DROP_REASONS" in report.findings[0].message
         assert report.findings[0].path.endswith("shedder.py")
@@ -453,11 +453,11 @@ class TestEventCoverage:
                 """,
             },
         )
-        assert run_analysis(root, selected_rules=["event-coverage"]).findings == []
+        assert run_analysis(root, selected_rules=["flow.span-pairing"]).findings == []
 
     def test_computed_or_missing_drop_reason_flagged(self, tmp_path):
-        # The rule audits reasons from the AST, so a computed reason is
-        # as much a finding as a missing one.
+        # A reason forwarded from a parameter that no call site passes
+        # cannot be audited, so it is as much a finding as a missing one.
         root = write_tree(
             tmp_path,
             {
@@ -471,10 +471,10 @@ class TestEventCoverage:
                 """,
             },
         )
-        report = run_analysis(root, selected_rules=["event-coverage"])
+        report = run_analysis(root, selected_rules=["flow.span-pairing"])
         messages = "\n".join(f.message for f in report.findings)
         assert len(report.findings) == 2
-        assert "not a string literal" in messages
+        assert "has no call site" in messages
         assert "without a reason= label" in messages
 
 
@@ -830,43 +830,6 @@ class TestPragmas:
             },
         )
         assert run_analysis(root).findings == []
-
-
-# ======================================================================
-# baseline
-# ======================================================================
-class TestBaseline:
-    def test_baseline_roundtrip(self, tmp_path, capsys):
-        root = write_tree(
-            tmp_path,
-            {
-                "repro/auditors/debt.py": """
-                from repro.guest.kernel import GuestKernel
-                """,
-            },
-        )
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(["--root", str(root), "--write-baseline", str(baseline)]) == 0
-        )
-        capsys.readouterr()
-        # Baselined: the known violation no longer fails the run...
-        assert main(["--root", str(root), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # ...but a *new* violation still does.
-        (root / "repro/auditors/debt2.py").write_text(
-            "from repro.guest.task import Task\n", encoding="utf-8"
-        )
-        assert main(["--root", str(root), "--baseline", str(baseline)]) == 1
-        capsys.readouterr()
-
-    def test_missing_baseline_is_a_usage_error(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"repro/ok.py": "X = 1\n"})
-        code = main(
-            ["--root", str(root), "--baseline", str(tmp_path / "nope.json")]
-        )
-        capsys.readouterr()
-        assert code == 2
 
 
 # ======================================================================

@@ -109,11 +109,3 @@ class TestVigilantDetection:
         testbed.run_s(0.6)
         testbed.run_s(3.0)
         assert detector.anomalies == []
-
-    def test_detach_stops_windows(self, testbed):
-        detector = attach_vigilant(testbed)
-        testbed.run_s(2.0)
-        seen = detector.windows_seen
-        testbed.hypertap.detach()
-        testbed.run_s(2.0)
-        assert detector.windows_seen == seen
